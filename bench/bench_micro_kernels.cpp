@@ -4,17 +4,16 @@
 // check from dozens of linear solves into one row scan.
 //
 // The main() is custom: before the google-benchmark run it executes a
-// hand-timed A/B harness over the thermal step kernels -- dense
-// propagator vs legacy LU stepping, k-step power-hold vs explicit
-// loops, blocked multi-RHS influence build vs per-column solves,
-// batched lockstep cohorts (BatchStepPropagator) vs k independent GEMV
-// simulators at k in {1, 4, 16, 64}, and shortened end-to-end
-// fig11-boosting / ext-online closed loops under both kernels -- and
-// records the measured speedups in
-// BENCH_thermal.json (path override: DS_BENCH_THERMAL_JSON). CI runs
-// this as a smoke step and archives the JSON, so a kernel regression
-// shows up as a speedup ratio sliding toward 1, not as a vague "the
-// sweep got slower".
+// hand-timed A/B harness over the thermal step kernels -- the folded
+// propagator (k = 1 panel lane) vs reference LU stepping, k-step
+// power-hold vs explicit loops, blocked multi-RHS influence build vs
+// per-column solves, and batched lockstep cohorts (BatchStepPropagator)
+// vs k independent simulators at k in {1, 4, 16, 64} -- plus the wall
+// time of shortened fig11-boosting / ext-online closed loops as trend
+// numbers, and records them in BENCH_thermal.json (path override:
+// DS_BENCH_THERMAL_JSON). CI runs this as a smoke step and archives the
+// JSON, so a kernel regression shows up as a speedup ratio sliding
+// toward 1, not as a vague "the sweep got slower".
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -38,7 +37,6 @@
 #include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
-#include "util/kernels.hpp"
 #include "util/lu.hpp"
 
 namespace {
@@ -82,11 +80,10 @@ void BM_SteadySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadySolve);
 
-// The step-kernel A/B pair: identical physics, propagator GEMV pair vs
-// permuted LU triangular solve.
+// The step-kernel A/B pair: identical physics, one k = 1 panel pass
+// over the folded propagator vs permuted LU triangular solve.
 void BM_TransientStepPropagator(benchmark::State& state) {
-  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3,
-                                  thermal::StepKernel::kPropagator);
+  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3);
   const std::vector<double> p(100, 2.5);
   for (auto _ : state) {
     sim.Step(p);
@@ -109,8 +106,7 @@ BENCHMARK(BM_TransientStepLu);
 // k-step power hold: one memoized operator application per iteration,
 // advancing range(0) simulated steps.
 void BM_StepHold(benchmark::State& state) {
-  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3,
-                                  thermal::StepKernel::kPropagator);
+  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3);
   const std::vector<double> p(100, 2.5);
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   sim.StepHold(p, k);  // build + memoize outside the timing
@@ -120,17 +116,6 @@ void BM_StepHold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StepHold)->Arg(10)->Arg(100)->Arg(1000);
-
-void BM_GemvStateOperator(benchmark::State& state) {
-  const thermal::StepPropagator prop(Plat16().thermal_model(), 1e-3);
-  const std::size_t n = prop.num_nodes();
-  std::vector<double> x(n, 45.0), y(n, 0.0);
-  for (auto _ : state) {
-    util::Gemv(prop.state_operator(), x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_GemvStateOperator);
 
 // Influence-matrix construction cost: one blocked multi-RHS solve over
 // all unit-injection columns vs the per-column loop it replaced.
@@ -234,16 +219,13 @@ bool FastMode() {
 struct ThermalReport {
   double step_us_propagator = 0.0;
   double step_us_lu = 0.0;
-  double step_us_auto = 0.0;
   double hold_us_per_step = 0.0;
   double influence_ms_solve_many = 0.0;
   double influence_ms_per_column = 0.0;
-  double fig11_wall_s_propagator = 0.0;
-  double fig11_wall_s_lu = 0.0;
-  double online_wall_s_propagator = 0.0;
-  double online_wall_s_lu = 0.0;
+  double fig11_wall_s = 0.0;
+  double online_wall_s = 0.0;
   // Batched lockstep stepping (BatchStepPropagator) vs k independent
-  // GEMV simulators, per member-step, at each measured cohort width.
+  // simulators, per member-step, at each measured cohort width.
   struct BatchPoint {
     std::size_t k = 0;
     double scalar_us_per_member_step = 0.0;
@@ -269,8 +251,7 @@ double MeasureStepUs(thermal::StepKernel kernel, std::size_t steps) {
 }
 
 double MeasureHoldUsPerStep(std::size_t k, std::size_t reps) {
-  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3,
-                                  thermal::StepKernel::kPropagator);
+  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3);
   const std::vector<double> p(100, 2.5);
   sim.StepHold(p, k);  // memoize the operator
   const telemetry::WallTimer timer;
@@ -278,15 +259,15 @@ double MeasureHoldUsPerStep(std::size_t k, std::size_t reps) {
   return 1e6 * timer.Seconds() / static_cast<double>(reps * k);
 }
 
-/// Aggregate per-member-step cost of k INDEPENDENT propagator (GEMV)
-/// simulators advancing in a round-robin -- the scalar baseline a
-/// cohort replaces. Microseconds per member-step.
+/// Aggregate per-member-step cost of k INDEPENDENT simulators (each a
+/// k = 1 panel lane over its own folded propagator) advancing in a
+/// round-robin -- the scalar baseline a cohort replaces. Microseconds
+/// per member-step.
 double MeasureScalarAggregateUs(std::size_t k, std::size_t steps) {
   std::vector<thermal::TransientSimulator> sims;
   sims.reserve(k);
   for (std::size_t j = 0; j < k; ++j)
-    sims.emplace_back(Plat16().thermal_model(), 1e-3,
-                      thermal::StepKernel::kPropagator);
+    sims.emplace_back(Plat16().thermal_model(), 1e-3);
   const std::vector<double> p(100, 2.5);
   for (auto& s : sims) s.Step(p);  // touch everything once
   const telemetry::WallTimer timer;
@@ -338,7 +319,7 @@ double MeasureInfluenceMs(bool solve_many, std::size_t reps) {
 }
 
 /// Shortened fig11-style boosting closed loop (fresh platform per run
-/// so no thermal assets leak between the A and B measurements).
+/// so every pass pays the same fold).
 double MeasureFig11WallS(double duration_s) {
   arch::Platform plat = arch::Platform::PaperPlatform(power::TechNode::N16);
   const apps::AppProfile& app = apps::AppByName("x264");
@@ -378,38 +359,28 @@ void WriteThermalReport(const ThermalReport& r) {
 #else
   const char* git = "unknown";
 #endif
-  char body[1536];
+  char body[1024];
   std::snprintf(
       body, sizeof(body),
       "{\n"
-      "  \"schema_version\": 2,\n"
+      "  \"schema_version\": 3,\n"
       "  \"git\": \"%s\",\n"
       "  \"step_us_propagator\": %.4f,\n"
       "  \"step_us_lu\": %.4f,\n"
-      "  \"step_us_auto\": %.4f,\n"
-      "  \"auto_step_speedup\": %.3f,\n"
       "  \"step_speedup\": %.3f,\n"
       "  \"hold_us_per_step\": %.4f,\n"
       "  \"hold_speedup_vs_step_loop\": %.3f,\n"
       "  \"influence_ms_solve_many\": %.4f,\n"
       "  \"influence_ms_per_column\": %.4f,\n"
       "  \"influence_speedup\": %.3f,\n"
-      "  \"fig11_wall_s_propagator\": %.4f,\n"
-      "  \"fig11_wall_s_lu\": %.4f,\n"
-      "  \"fig11_speedup\": %.3f,\n"
-      "  \"online_wall_s_propagator\": %.4f,\n"
-      "  \"online_wall_s_lu\": %.4f,\n"
-      "  \"online_speedup\": %.3f",
-      git, r.step_us_propagator, r.step_us_lu, r.step_us_auto,
-      ratio(r.step_us_lu, r.step_us_auto),
+      "  \"fig11_wall_s\": %.4f,\n"
+      "  \"online_wall_s\": %.4f",
+      git, r.step_us_propagator, r.step_us_lu,
       ratio(r.step_us_lu, r.step_us_propagator), r.hold_us_per_step,
       ratio(r.step_us_propagator, r.hold_us_per_step),
       r.influence_ms_solve_many, r.influence_ms_per_column,
       ratio(r.influence_ms_per_column, r.influence_ms_solve_many),
-      r.fig11_wall_s_propagator, r.fig11_wall_s_lu,
-      ratio(r.fig11_wall_s_lu, r.fig11_wall_s_propagator),
-      r.online_wall_s_propagator, r.online_wall_s_lu,
-      ratio(r.online_wall_s_lu, r.online_wall_s_propagator));
+      r.fig11_wall_s, r.online_wall_s);
   std::string doc(body);
   for (const ThermalReport::BatchPoint& pt : r.batch) {
     char extra[256];
@@ -433,61 +404,38 @@ void WriteThermalReport(const ThermalReport& r) {
 
 /// Runs the hand-timed A/B harness and returns false when a gated
 /// speedup ratio regresses. Gates:
-///   fig11_speedup  >= 1.0   -- kAuto (default) must never lose to a
-///                              pinned-LU run of the same closed loop;
-///                              the lazy-upgrade heuristic exists
-///                              precisely to make this hold.
-///   online_speedup >= 0.95  -- the ext-online loop never constructs a
-///                              TransientSimulator, so A and B run the
-///                              same code; 0.95 is a documented noise
-///                              floor, not a performance target.
 ///   batch_k16      >= 3.0   -- a 16-member lockstep cohort must beat
-///                              16 independent GEMV simulators by 3x
-///                              per member-step; this is the headline
-///                              win the batched scheduler exists for.
+///                              16 independent simulators by 3x per
+///                              member-step; this is the headline win
+///                              the batched scheduler exists for.
 ///   batch_k1       >= 0.95  -- the degenerate 1-member cohort must
-///                              not lose to a plain GEMV step beyond
-///                              measurement noise (same memory
-///                              traffic, panel bookkeeping amortized).
+///                              not lose to a simulator step beyond
+///                              measurement noise (same kernel, same
+///                              memory traffic).
+/// The closed-loop wall times are trend numbers, not gates.
 bool RunThermalHarness() {
   ThermalReport r;
   const std::size_t steps = FastMode() ? 500 : 2000;
-  r.step_us_propagator =
-      MeasureStepUs(thermal::StepKernel::kPropagator, steps);
+  r.step_us_propagator = MeasureStepUs(thermal::StepKernel::kAuto, steps);
   r.step_us_lu = MeasureStepUs(thermal::StepKernel::kLu, steps);
-  // kAuto with DS_THERMAL_KERNEL unset: starts on LU, upgrades after
-  // kAutoUpgradeSteps requested steps -- the measured cost should land
-  // on the propagator side for any steps >> 64.
-  r.step_us_auto = MeasureStepUs(thermal::StepKernel::kAuto, steps);
   r.hold_us_per_step = MeasureHoldUsPerStep(1000, FastMode() ? 20 : 100);
   r.influence_ms_solve_many =
       MeasureInfluenceMs(/*solve_many=*/true, FastMode() ? 5 : 20);
   r.influence_ms_per_column =
       MeasureInfluenceMs(/*solve_many=*/false, FastMode() ? 5 : 20);
 
-  // End-to-end A/B: the closed loops construct their simulators with
-  // StepKernel::kAuto, so DS_THERMAL_KERNEL pins the B side to LU and
-  // the A side runs the real (lazy-upgrade) default. Interleaved
-  // best-of-3 so a frequency ramp or background load hits both sides,
-  // not just whichever ran second.
+  // End-to-end closed loops, best-of-3.
   const double fig11_s = FastMode() ? 1.0 : 2.0;
   const std::size_t online_epochs = FastMode() ? 20 : 40;
-  double fig11_lu = 1e300, fig11_auto = 1e300;
-  double online_lu = 1e300, online_auto = 1e300;
+  r.fig11_wall_s = 1e300;
+  r.online_wall_s = 1e300;
   for (int pass = 0; pass < 3; ++pass) {
-    setenv("DS_THERMAL_KERNEL", "lu", 1);
-    fig11_lu = std::min(fig11_lu, MeasureFig11WallS(fig11_s));
-    online_lu = std::min(online_lu, MeasureOnlineWallS(online_epochs));
-    unsetenv("DS_THERMAL_KERNEL");
-    fig11_auto = std::min(fig11_auto, MeasureFig11WallS(fig11_s));
-    online_auto = std::min(online_auto, MeasureOnlineWallS(online_epochs));
+    r.fig11_wall_s = std::min(r.fig11_wall_s, MeasureFig11WallS(fig11_s));
+    r.online_wall_s =
+        std::min(r.online_wall_s, MeasureOnlineWallS(online_epochs));
   }
-  r.fig11_wall_s_lu = fig11_lu;
-  r.fig11_wall_s_propagator = fig11_auto;
-  r.online_wall_s_lu = online_lu;
-  r.online_wall_s_propagator = online_auto;
 
-  // Batched lockstep A/B: k independent GEMV simulators vs one
+  // Batched lockstep A/B: k independent simulators vs one
   // BatchStepPropagator cohort of width k, interleaved best-of-3, cost
   // reported per member-step. The step count shrinks with k so every
   // (k, side, pass) cell does a comparable number of member-steps.
@@ -526,8 +474,6 @@ bool RunThermalHarness() {
               << speedup << " < " << floor << "\n";
     ok = false;
   };
-  gate("fig11", r.fig11_wall_s_lu, r.fig11_wall_s_propagator, 1.0);
-  gate("online", r.online_wall_s_lu, r.online_wall_s_propagator, 0.95);
   for (const ThermalReport::BatchPoint& pt : r.batch) {
     if (pt.k == 16)
       gate("batch_k16", pt.scalar_us_per_member_step,

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -40,28 +38,6 @@ std::uint64_t Mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// How eagerly the engine forms lockstep cohorts for batchable kinds.
-/// The top rung of the thermal kernel ladder (lu -> propagator ->
-/// batch), driven by the same DS_THERMAL_KERNEL env var the transient
-/// simulator reads, so one knob pins the whole ladder for A/B runs.
-enum class BatchMode {
-  kOff,     // lu / propagator pinned: scalar lane only
-  kAuto,    // batch a cohort key only once >= 2 of its jobs are pending
-  kAlways,  // DS_THERMAL_KERNEL=batch: form cohorts eagerly
-};
-
-BatchMode ResolveBatchMode() {
-  // Read-only env lookup; nothing in this process calls setenv, so the
-  // getenv data race concurrency-mt-unsafe guards against cannot occur.
-  const char* env = std::getenv("DS_THERMAL_KERNEL");  // NOLINT(concurrency-mt-unsafe)
-  if (env != nullptr) {
-    const std::string_view name(env);
-    if (name == "lu" || name == "propagator") return BatchMode::kOff;
-    if (name == "batch") return BatchMode::kAlways;
-  }
-  return BatchMode::kAuto;
 }
 
 /// Per-worker queue of chunk ids. A chunk is one unit of worker work:
@@ -630,17 +606,12 @@ SweepOutcome SweepEngine::Run() {
   // Chunk formation: a chunk is one unit of worker work -- a singleton
   // job index (the scalar lane) or a lockstep cohort of batchable jobs
   // sharing a BatchCohortKey (one model content hash + dt, hence one
-  // shared folded propagator). DS_THERMAL_KERNEL=batch forms cohorts
-  // eagerly; auto (default) batches a key only once >= 2 of its jobs
-  // are pending, mirroring the transient simulator's lazy kAuto
-  // upgrade; lu/propagator pin the scalar lane for A/B runs.
+  // shared folded propagator), up to --batch-max-k jobs; 1 pins the
+  // scalar lane.
   std::vector<std::vector<std::size_t>> chunks;
   chunks.reserve(pending.size());
   const std::size_t max_k = std::max<std::size_t>(options_.batch_max_k, 1);
-  const BatchMode mode = (max_k >= 2 && KindIsBatchable(spec_.kind()))
-                             ? ResolveBatchMode()
-                             : BatchMode::kOff;
-  if (mode == BatchMode::kOff) {
+  if (max_k < 2 || !KindIsBatchable(spec_.kind())) {
     for (const std::size_t i : pending) chunks.push_back({i});
   } else {
     const std::size_t max_attempts = 1 + options_.job_retries;
@@ -652,32 +623,18 @@ SweepOutcome SweepEngine::Run() {
       }
       return false;
     };
-    std::vector<std::string> keys(pending.size());
-    std::vector<bool> scalar_only(pending.size(), false);
-    std::unordered_map<std::string, std::size_t> key_pending;
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      if (chaos_touched(pending[p])) {
-        scalar_only[p] = true;
-        continue;
-      }
-      keys[p] = BatchCohortKey(spec_.kind(), jobs[pending[p]].point);
-      ++key_pending[keys[p]];
-    }
     std::unordered_map<std::string, std::size_t> open;  // key -> chunk
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      const std::size_t i = pending[p];
-      const bool batch = !scalar_only[p] &&
-                         (mode == BatchMode::kAlways ||
-                          key_pending[keys[p]] >= 2);
-      if (!batch) {
+    for (const std::size_t i : pending) {
+      if (chaos_touched(i)) {
         chunks.push_back({i});
         continue;
       }
-      const auto it = open.find(keys[p]);
+      const std::string key = BatchCohortKey(spec_.kind(), jobs[i].point);
+      const auto it = open.find(key);
       if (it != open.end() && chunks[it->second].size() < max_k) {
         chunks[it->second].push_back(i);
       } else {
-        open[keys[p]] = chunks.size();  // start (or replace a full) chunk
+        open[key] = chunks.size();  // start (or replace a full) chunk
         chunks.push_back({i});
       }
     }

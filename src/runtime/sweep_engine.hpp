@@ -125,11 +125,9 @@ struct SweepOptions {
 
   /// Largest lockstep cohort formed for batchable kinds (boost_transient):
   /// ready jobs sharing a BatchCohortKey advance through one panel pass
-  /// per control period instead of k separate GEMV sweeps. 1 disables
-  /// batching. Results are byte-identical at any value (the scalar lane
-  /// runs the same k = 1 panel kernels); DS_THERMAL_KERNEL=batch forms
-  /// cohorts eagerly, auto (default) only when >= 2 jobs share a key,
-  /// lu/propagator disable cohorts for A/B runs.
+  /// per control period instead of k separate one-column passes. 1
+  /// disables batching. Results are byte-identical at any value (the
+  /// scalar lane runs the same k = 1 panel kernels).
   std::size_t batch_max_k = 16;
 };
 

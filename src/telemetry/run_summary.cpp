@@ -17,7 +17,6 @@ void RunSummary::CollectTelemetry() {
       Registry().GetCounter("thermal.kernel.propagator_steps").value();
   lu_kernel_steps = Registry().GetCounter("thermal.kernel.lu_steps").value();
   hold_steps = Registry().GetCounter("thermal.kernel.hold_steps").value();
-  lu_fallbacks = Registry().GetCounter("thermal.kernel.lu_fallbacks").value();
   sweep_retries = Registry().GetCounter("sweep.retries").value();
   sweep_timeouts = Registry().GetCounter("sweep.job_timeouts").value();
   sweep_quarantined = Registry().GetCounter("sweep.quarantined").value();
@@ -63,7 +62,6 @@ void RunSummary::Print(std::ostream& os) const {
   if (propagator_steps > 0) line("propagator steps", propagator_steps);
   if (lu_kernel_steps > 0) line("LU-kernel steps", lu_kernel_steps);
   if (hold_steps > 0) line("power-hold steps", hold_steps);
-  if (lu_fallbacks > 0) line("LU fallbacks", lu_fallbacks);
   if (sweep_retries > 0) line("sweep retries", sweep_retries);
   if (sweep_timeouts > 0) line("sweep timeouts", sweep_timeouts);
   if (sweep_quarantined > 0) line("jobs quarantined", sweep_quarantined);
@@ -122,7 +120,6 @@ void RunSummary::WriteJson(std::ostream& os) const {
   field("propagator_steps", static_cast<double>(propagator_steps));
   field("lu_kernel_steps", static_cast<double>(lu_kernel_steps));
   field("hold_steps", static_cast<double>(hold_steps));
-  field("lu_fallbacks", static_cast<double>(lu_fallbacks));
   field("sweep_retries", static_cast<double>(sweep_retries));
   field("sweep_timeouts", static_cast<double>(sweep_timeouts));
   field("sweep_quarantined", static_cast<double>(sweep_quarantined));

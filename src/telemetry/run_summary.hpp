@@ -39,15 +39,13 @@ struct RunSummary {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_events_dropped = 0;
 
-  // Thermal step-kernel path selection (thermal.kernel.* counters):
-  // how many transient steps ran on the folded dense propagator, how
-  // many on the legacy LU triangular solve, how many were covered by
-  // k-step power-hold applications, and how many simulators fell back
-  // from propagator to LU on a degraded model.
+  // Thermal step-kernel lanes (thermal.kernel.* counters): how many
+  // transient steps ran on the folded dense propagator, how many on the
+  // reference LU triangular solve, and how many were covered by k-step
+  // power-hold applications.
   std::uint64_t propagator_steps = 0;
   std::uint64_t lu_kernel_steps = 0;
   std::uint64_t hold_steps = 0;
-  std::uint64_t lu_fallbacks = 0;
 
   // Sweep resilience (sweep.* counters / filled by the sweep CLI from
   // SweepStats): retried attempts, watchdog timeouts, jobs retired to
@@ -58,9 +56,10 @@ struct RunSummary {
 
   // Lockstep batching (thermal.batch.* counters): cohorts formed and
   // the jobs they carried, panel passes split by width (GEMM-shaped
-  // k >= 2 vs the k = 1 GEMV-shaped scalar lane, in member-steps),
-  // batched power-hold member-steps, and members detached from a
-  // cohort back to the scalar retry ladder.
+  // k >= 2 vs k = 1 passes -- the sweep's scalar lane and every
+  // TransientSimulator step -- in member-steps), panel power-hold
+  // member-steps, and members detached from a cohort back to the
+  // scalar retry ladder.
   std::uint64_t batch_cohorts = 0;
   std::uint64_t batch_cohort_members = 0;
   std::uint64_t batch_gemm_steps = 0;

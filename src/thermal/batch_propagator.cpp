@@ -31,10 +31,6 @@ BatchStepPropagator::BatchStepPropagator(
       scratch_(prop_->num_nodes(), k_max),
       powers_(prop_->num_cores(), k_max) {
   DS_REQUIRE(k_max >= 1, "BatchStepPropagator: k_max must be >= 1");
-  // Resolve (and lazily build, first cohort only) the shared transposed
-  // operators outside the stepping hot path.
-  state_t_ = &prop_->state_operator_t();
-  in_t_ = &prop_->input_operator_t();
   col_of_member_.reserve(k_max);
   member_of_col_.reserve(k_max);
 }
@@ -98,6 +94,11 @@ void BatchStepPropagator::SetPowers(std::size_t member,
   powers_.Gather(ColumnOf(member), core_powers);
 }
 
+void BatchStepPropagator::SetState(std::size_t member,
+                                   std::span<const double> state) {
+  state_.Gather(ColumnOf(member), state);
+}
+
 void BatchStepPropagator::CopyState(std::size_t member,
                                     std::span<double> out) const {
   state_.Scatter(ColumnOf(member), out);
@@ -125,10 +126,7 @@ void BatchStepPropagator::Step() {
     DS_TELEM_COUNT("thermal.batch.gemm_steps", k_);
   else
     DS_TELEM_COUNT("thermal.batch.gemv_steps", 1);
-  util::PanelApplyT(*state_t_, state_, k_, &scratch_);
-  util::PanelApplyAddT(*in_t_, powers_, k_, &scratch_);
-  util::PanelAddBroadcast(prop_->ambient_operator(), k_, &scratch_);
-  state_.swap(scratch_);
+  Apply(prop_->step());
   ++steps_;
 }
 
@@ -141,56 +139,21 @@ void BatchStepPropagator::StepN(std::size_t n) {
     Step();
     return;
   }
-  // Same memoized Hold(n) matrices the per-job StepHold path uses --
-  // one batched affine application advances every member n steps.
+  // The propagator's memoized Hold(n): one batched affine application
+  // advances every member n steps.
   const std::shared_ptr<const StepPropagator::HoldOperator> hold =
-      prop_->Hold(n, /*for_batch=*/true);
+      prop_->Hold(n);
   DS_TELEM_COUNT("thermal.batch.panel_steps", 1);
   DS_TELEM_COUNT("thermal.batch.hold_steps", k_ * n);
-  util::PanelApplyT(hold->t_op_t, state_, k_, &scratch_);
-  util::PanelApplyAddT(hold->in_op_t, powers_, k_, &scratch_);
-  util::PanelAddBroadcast(hold->amb_op, k_, &scratch_);
-  state_.swap(scratch_);
+  Apply(*hold);
   steps_ += n;
 }
 
-BatchTransientFacade::BatchTransientFacade(
-    std::shared_ptr<const StepPropagator> prop,
-    std::span<const double> initial_state)
-    : batch_(std::move(prop), /*k_max=*/1) {
-  DS_REQUIRE(initial_state.size() == batch_.num_nodes(),
-             "BatchTransientFacade: " << initial_state.size()
-                 << " state entries for " << batch_.num_nodes()
-                 << " nodes");
-  batch_.AddMember(initial_state);
-}
-
-void BatchTransientFacade::Step(std::span<const double> core_powers) {
-  batch_.SetPowers(0, core_powers);
-  batch_.Step();
-}
-
-void BatchTransientFacade::StepN(std::span<const double> core_powers,
-                                 std::size_t n) {
-  batch_.SetPowers(0, core_powers);
-  batch_.StepN(n);
-}
-
-void BatchTransientFacade::StepHold(std::span<const double> core_powers,
-                                    std::size_t k) {
-  DS_REQUIRE(k >= 1, "BatchTransientFacade::StepHold: k must be >= 1");
-  batch_.SetPowers(0, core_powers);
-  batch_.StepN(k);
-}
-
-std::vector<double> BatchTransientFacade::DieTemps() const {
-  auto s = batch_.MemberState(0);
-  return {s.begin(),
-          s.begin() + static_cast<std::ptrdiff_t>(batch_.num_cores())};
-}
-
-double BatchTransientFacade::PeakDieTemp() const {
-  return batch_.PeakDieTemp(0);
+void BatchStepPropagator::Apply(const StepPropagator::HoldOperator& op) {
+  util::PanelApplyT(op.state_t, state_, k_, &scratch_);
+  util::PanelApplyAddT(op.input_t, powers_, k_, &scratch_);
+  util::PanelAddBroadcast(op.ambient.row(0), k_, &scratch_);
+  state_.swap(scratch_);
 }
 
 }  // namespace ds::thermal

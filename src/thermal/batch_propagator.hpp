@@ -1,23 +1,27 @@
-// Batched lockstep stepping: k scenarios sharing one (model, dt)
-// propagator advance together with a single pass over M_state / M_in.
+// Lockstep stepping: k scenarios sharing one (model, dt) propagator
+// advance together with a single pass over M_state / M_in.
 //
-// The per-job propagator path (thermal/propagator.hpp) is memory-bound:
-// every Step streams the ~n^2 M_state operator from cache/memory to
-// produce one n-vector. A sweep runs hundreds of jobs over the SAME
-// operator (BENCH_sweep.json shows 86-99% ModelCache hit rates), so a
-// worker holding k ready jobs can pack their state vectors into a
-// column-major n x k panel (util/panel.hpp) and advance all of them
-// with one operator pass -- the interval-batched stepping idiom CoMeT
-// uses to keep full-system thermal simulation tractable. Each operator
-// row is then reused k times while L1-hot, turning the hot loop from
-// memory-bound into compute-bound.
+// One-column stepping is memory-bound: every step streams the ~n^2
+// M_state operator from cache/memory to produce one n-vector. A sweep
+// runs hundreds of jobs over the SAME operator (BENCH_sweep.json shows
+// 86-99% ModelCache hit rates), so a worker holding k ready jobs can
+// pack their state vectors into a column-major n x k panel
+// (util/panel.hpp) and advance all of them with one operator pass --
+// the interval-batched stepping idiom CoMeT uses to keep full-system
+// thermal simulation tractable. Each operator row is then reused k
+// times while L1-hot, turning the hot loop from memory-bound into
+// compute-bound.
+//
+// This is the only stepping path on the folded operators: sweep
+// cohorts use k > 1, the sweep's scalar jobs k = 1, and every
+// TransientSimulator (DTM, sprint, chip_sim, Fig. 11) is a one-member
+// instance.
 //
 // Determinism: the panel kernels compute every output element with a
 // fixed, k-independent summation order in an IEEE (no fast-math) TU,
 // so a member's trajectory is bitwise identical at any cohort size --
-// including k = 1, which is exactly the scalar lane. Batched hold
-// operators are the propagator's own memoized Hold(k) matrices, shared
-// with the per-job path.
+// including k = 1. Hold operators are the propagator's own memoized
+// Hold(k) matrices, shared by every instance over that propagator.
 //
 // Membership is dynamic: a job that hits its deadline, gets cancelled,
 // or throws detaches mid-flight (swap-last column compaction, safe
@@ -39,7 +43,7 @@ namespace ds::thermal {
 /// StepPropagator. Not thread-safe: one instance per worker/cohort.
 /// Allocation-free after construction (panels are pre-sized to k_max;
 /// Hold(n) may allocate once per distinct n inside the shared
-/// propagator's memoized cache, same as the per-job path).
+/// propagator's memoized cache).
 class BatchStepPropagator {
  public:
   /// An invalid member handle (returned by none; useful as a sentinel).
@@ -71,6 +75,9 @@ class BatchStepPropagator {
   /// TransientSimulator::Step.
   void SetPowers(std::size_t member, std::span<const double> core_powers);
 
+  /// Overwrites the member's node state (size num_nodes()).
+  void SetState(std::size_t member, std::span<const double> state);
+
   /// Copies the member's current node state into `out` (num_nodes()).
   void CopyState(std::size_t member, std::span<double> out) const;
 
@@ -94,11 +101,10 @@ class BatchStepPropagator {
  private:
   std::size_t ColumnOf(std::size_t member) const;
 
+  /// One panel pass of `op` over the k active columns.
+  void Apply(const StepPropagator::HoldOperator& op);
+
   std::shared_ptr<const StepPropagator> prop_;
-  // Transposed step operators, cached inside the shared propagator
-  // (built lazily once per (model, dt)); valid as long as prop_ lives.
-  const util::Matrix* state_t_ = nullptr;
-  const util::Matrix* in_t_ = nullptr;
   std::size_t k_ = 0;
   std::size_t steps_ = 0;
   util::ColPanel state_;    // n x k_max, column j = member state
@@ -106,34 +112,6 @@ class BatchStepPropagator {
   util::ColPanel powers_;   // num_cores x k_max
   std::vector<std::size_t> col_of_member_;  // handle -> column or kNoMember
   std::vector<std::size_t> member_of_col_;  // column -> handle
-};
-
-/// TransientSimulator-compatible facade over a single-member batch
-/// (the scalar lane, k = 1). Offers the same stepping surface --
-/// Step / StepN / StepHold / DieTemps / PeakDieTemp / state -- backed
-/// by the panel kernels, so per-job code and tests can drive the
-/// batched path without knowing about cohorts. A member stepped
-/// through this facade produces bitwise the same trajectory as the
-/// same job inside a k > 1 cohort.
-class BatchTransientFacade {
- public:
-  BatchTransientFacade(std::shared_ptr<const StepPropagator> prop,
-                       std::span<const double> initial_state);
-
-  void Step(std::span<const double> core_powers);
-  void StepN(std::span<const double> core_powers, std::size_t n);
-  void StepHold(std::span<const double> core_powers, std::size_t k);
-
-  std::vector<double> DieTemps() const;
-  double PeakDieTemp() const;
-  std::span<const double> state() const { return batch_.MemberState(0); }
-  double dt() const { return batch_.dt(); }
-  double time() const {
-    return static_cast<double>(batch_.steps()) * batch_.dt();
-  }
-
- private:
-  BatchStepPropagator batch_;
 };
 
 }  // namespace ds::thermal

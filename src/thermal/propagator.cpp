@@ -1,5 +1,6 @@
 #include "thermal/propagator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -18,13 +19,25 @@ bool AllFinite(std::span<const double> v) {
   return true;
 }
 
-util::Matrix Transposed(const util::Matrix& a) {
-  util::Matrix t(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i).data();
-    for (std::size_t c = 0; c < a.cols(); ++c) t(c, i) = row[c];
-  }
-  return t;
+void TransposeSquare(util::Matrix* a) {
+  for (std::size_t i = 0; i < a->rows(); ++i)
+    for (std::size_t c = i + 1; c < a->cols(); ++c)
+      std::swap((*a)(i, c), (*a)(c, i));
+}
+
+/// b o a (apply `a` first, then `b`), in the transposed layout:
+/// (A_a^T A_b^T, B_a^T A_b^T + B_b^T, c_a^T A_b^T + c_b^T).
+StepPropagator::HoldOperator Compose(const StepPropagator::HoldOperator& b,
+                                     const StepPropagator::HoldOperator& a) {
+  StepPropagator::HoldOperator out;
+  out.k = a.k + b.k;
+  out.state_t = util::Matrix(b.state_t.rows(), b.state_t.cols());
+  util::Gemm(a.state_t, b.state_t, &out.state_t);
+  out.input_t = b.input_t;
+  util::GemmAdd(a.input_t, b.state_t, &out.input_t);
+  out.ambient = b.ambient;
+  util::GemmAdd(a.ambient, b.state_t, &out.ambient);
+  return out;
 }
 
 }  // namespace
@@ -44,144 +57,75 @@ StepPropagator::StepPropagator(const RcModel& model, double dt_s)
   util::Matrix system = model.conductance();
   for (std::size_t i = 0; i < n; ++i) system(i, i) += cap[i] / dt_s;
   const util::LuFactorization lu(system);
-  util::Matrix inverse = util::Matrix::Identity(n);
-  lu.SolveMany(&inverse);
-  DS_ENSURE(AllFinite(inverse.data()),
-            "StepPropagator: non-finite step operator (ill-conditioned "
-            "system matrix)");
+  util::Matrix inverse_t = util::Matrix::Identity(n);
+  lu.SolveMany(&inverse_t);
+  // Row c of A^-T is column c of A^-1.
+  TransposeSquare(&inverse_t);
 
-  // M_in: the die-node columns of A^-1, captured before the column
-  // scaling below turns A^-1 into M_state.
-  m_in_ = util::Matrix(n, cores);
+  auto op = std::make_shared<HoldOperator>();
+  op->k = 1;
+  // M_in^T: the die-node rows of A^-T.
+  op->input_t = util::Matrix(cores, n);
   for (std::size_t j = 0; j < cores; ++j) {
-    const std::size_t col = model.DieNode(j);
-    for (std::size_t i = 0; i < n; ++i) m_in_(i, j) = inverse(i, col);
+    const auto src = inverse_t.row(model.DieNode(j));
+    std::copy(src.begin(), src.end(), op->input_t.row(j).begin());
   }
-
-  // c_amb = A^-1 (g_amb T_amb).
+  // c_amb^T = (g_amb T_amb)^T A^-T.
+  util::Matrix amb_rhs(1, n);
   const std::vector<double>& amb_g = model.ambient_conductance();
-  const double t_amb = model.ambient_c();
-  std::vector<double> amb_rhs(n);
-  for (std::size_t i = 0; i < n; ++i) amb_rhs[i] = amb_g[i] * t_amb;
-  c_amb_.assign(n, 0.0);
-  util::Gemv(inverse, amb_rhs, c_amb_);
-
-  // M_state = A^-1 diag(C/dt): scale column i by cap_i/dt in place.
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = inverse.row(i).data();
-    for (std::size_t c = 0; c < n; ++c) row[c] *= cap[c] / dt_s;
+  for (std::size_t i = 0; i < n; ++i)
+    amb_rhs(0, i) = amb_g[i] * model.ambient_c();
+  op->ambient = util::Matrix(1, n);
+  util::Gemm(amb_rhs, inverse_t, &op->ambient);
+  // M_state^T = diag(C/dt) A^-T: scale row c by cap_c/dt in place.
+  for (std::size_t c = 0; c < n; ++c) {
+    const double scale = cap[c] / dt_s;
+    for (double& x : inverse_t.row(c)) x *= scale;
   }
-  m_state_ = std::move(inverse);
-}
+  op->state_t = std::move(inverse_t);
 
-void StepPropagator::Apply(std::span<const double> state,
-                           std::span<const double> core_powers,
-                           std::span<double> out) const {
-  DS_REQUIRE(out.data() != state.data(),
-             "StepPropagator::Apply: out must not alias state");
-  // out = M_state state; out += M_in P; out += c_amb. Shape checks
-  // live in the kernels.
-  util::Gemv(m_state_, state, out);
-  util::GemvAdd(m_in_, core_powers, out);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += c_amb_[i];
-}
-
-void StepPropagator::ApplyHold(const HoldOperator& hold,
-                               std::span<const double> state,
-                               std::span<const double> core_powers,
-                               std::span<double> out) const {
-  DS_REQUIRE(out.data() != state.data(),
-             "StepPropagator::ApplyHold: out must not alias state");
-  util::Gemv(hold.t_op, state, out);
-  util::GemvAdd(hold.in_op, core_powers, out);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += hold.amb_op[i];
-}
-
-const util::Matrix& StepPropagator::state_operator_t() const {
-  const ds::MutexLock lock(hold_mu_);
-  if (m_state_t_.rows() == 0) {
-    DS_TELEM_TIMER("thermal.operator_transpose_us");
-    m_state_t_ = Transposed(m_state_);
-    m_in_t_ = Transposed(m_in_);
-  }
-  return m_state_t_;
-}
-
-const util::Matrix& StepPropagator::input_operator_t() const {
-  const ds::MutexLock lock(hold_mu_);
-  if (m_state_t_.rows() == 0) {
-    DS_TELEM_TIMER("thermal.operator_transpose_us");
-    m_state_t_ = Transposed(m_state_);
-    m_in_t_ = Transposed(m_in_);
-  }
-  return m_in_t_;
-}
-
-StepPropagator::HoldOperator StepPropagator::Compose(
-    const HoldOperator& b, const HoldOperator& a) const {
-  HoldOperator out;
-  out.k = a.k + b.k;
-  out.t_op = util::Matrix(m_state_.rows(), m_state_.cols());
-  util::Gemm(b.t_op, a.t_op, &out.t_op);
-  out.in_op = b.in_op;  // start from B2, accumulate A2 B1
-  util::GemmAdd(b.t_op, a.in_op, &out.in_op);
-  out.amb_op = b.amb_op;
-  util::GemvAdd(b.t_op, a.amb_op, out.amb_op);
-  return out;
+  // A positive dt can still overflow C/dt (or a near-singular system
+  // can blow up A^-1); stepping on such operators would silently turn
+  // every state to NaN, so reject them here.
+  if (!AllFinite(op->state_t.data()) || !AllFinite(op->input_t.data()) ||
+      !AllFinite(op->ambient.data()))
+    throw util::SolverError(
+        "StepPropagator: non-finite step operator (C/dt overflow or "
+        "ill-conditioned system matrix)");
+  step_ = std::move(op);
 }
 
 std::shared_ptr<const StepPropagator::HoldOperator> StepPropagator::Hold(
-    std::size_t k, bool for_batch) const {
+    std::size_t k) const {
   DS_REQUIRE(k >= 1, "StepPropagator::Hold: k must be >= 1");
-  // Fills the batch-path transposes exactly once, in place, under
-  // hold_mu_. Safe even when the operator is already shared: GEMV-path
-  // readers never touch the *_t members, and every batch reader gets
-  // its pointer from a Hold(k, true) call that happens-after the fill.
-  const auto ensure_transposes = [](HoldOperator* hold) {
-    if (hold->t_op_t.rows() != 0) return;
-    DS_TELEM_TIMER("thermal.operator_transpose_us");
-    hold->t_op_t = Transposed(hold->t_op);
-    hold->in_op_t = Transposed(hold->in_op);
-  };
   const ds::MutexLock lock(hold_mu_);
   const auto it = holds_.find(k);
   if (it != holds_.end()) {
     DS_TELEM_COUNT("thermal.hold_op_hits", 1);
-    if (for_batch) ensure_transposes(it->second.get());
     return it->second;
   }
   DS_TELEM_COUNT("thermal.hold_op_builds", 1);
   DS_TELEM_TIMER("thermal.hold_op_build_us");
-  if (pow2_.empty()) {
-    auto one = std::make_shared<HoldOperator>();
-    one->k = 1;
-    one->t_op = m_state_;
-    one->in_op = m_in_;
-    one->amb_op = c_amb_;
-    pow2_.push_back(std::move(one));
-  }
+  if (pow2_.empty()) pow2_.push_back(step_);
   // Binary powering over the memoized power-of-two chain. All factors
   // are powers of one affine map, so composition order is immaterial.
-  std::shared_ptr<HoldOperator> acc;
+  std::shared_ptr<const HoldOperator> acc;
   std::size_t bits = k;
   std::size_t level = 0;
   while (bits != 0) {
     while (level >= pow2_.size()) {
       const HoldOperator& prev = *pow2_.back();
-      pow2_.push_back(std::make_shared<HoldOperator>(Compose(prev, prev)));
+      pow2_.push_back(
+          std::make_shared<const HoldOperator>(Compose(prev, prev)));
     }
     if ((bits & 1u) != 0) {
-      const HoldOperator& factor = *pow2_[level];
-      if (acc == nullptr) {
-        acc = std::make_shared<HoldOperator>(factor);
-      } else {
-        *acc = Compose(factor, *acc);
-      }
+      acc = acc == nullptr ? pow2_[level]
+                           : std::make_shared<const HoldOperator>(
+                                 Compose(*pow2_[level], *acc));
     }
     bits >>= 1u;
     ++level;
   }
-  if (for_batch) ensure_transposes(acc.get());
   holds_.emplace(k, acc);
   return acc;
 }
@@ -212,26 +156,18 @@ std::size_t PropagatorSet::size() const {
 
 std::size_t StepPropagator::ApproxBytes() const {
   const auto operator_bytes = [](const HoldOperator& h) {
-    return sizeof(double) * (h.t_op.rows() * h.t_op.cols() +
-                             h.in_op.rows() * h.in_op.cols() +
-                             h.amb_op.size() +
-                             h.t_op_t.rows() * h.t_op_t.cols() +
-                             h.in_op_t.rows() * h.in_op_t.cols());
+    return sizeof(double) * (h.state_t.data().size() +
+                             h.input_t.data().size() +
+                             h.ambient.data().size());
   };
-  std::size_t bytes =
-      sizeof(double) * (m_state_.rows() * m_state_.cols() +
-                        m_in_.rows() * m_in_.cols() + c_amb_.size());
+  std::size_t bytes = operator_bytes(*step_);
+  std::set<const HoldOperator*> seen = {step_.get()};
   const ds::MutexLock lock(hold_mu_);
-  bytes += sizeof(double) * (m_state_t_.rows() * m_state_t_.cols() +
-                             m_in_t_.rows() * m_in_t_.cols());
-  std::set<const HoldOperator*> seen;
   for (const auto& hold : pow2_)
-    if (hold != nullptr && seen.insert(hold.get()).second)
-      bytes += operator_bytes(*hold);
+    if (seen.insert(hold.get()).second) bytes += operator_bytes(*hold);
   for (const auto& [k, hold] : holds_) {
     (void)k;
-    if (hold != nullptr && seen.insert(hold.get()).second)
-      bytes += operator_bytes(*hold);
+    if (seen.insert(hold.get()).second) bytes += operator_bytes(*hold);
   }
   return bytes;
 }

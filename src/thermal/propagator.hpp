@@ -1,4 +1,4 @@
-// Dense step-propagator kernels for the implicit-Euler transient solve.
+// Folded step operators for the implicit-Euler transient solve.
 //
 // The backward-Euler update  (G + C/dt) T' = (C/dt) T + P_full + g_amb T_amb
 // is linear in (T, P), so the whole step can be folded, once per
@@ -14,17 +14,22 @@
 // All three come out of ONE blocked multi-RHS solve on the identity
 // (util::LuFactorization::SolveMany): A^-1 e_i is column i, so M_state
 // is A^-1 with column i scaled by cap_i/dt and M_in is the die-node
-// column subset. After that, stepping is a pair of allocation-free
-// GEMVs -- no permutation gather, no triangular dependency chain, pure
-// row-major multiply-add streams (util/kernels.hpp).
+// column subset.
+//
+// Layout: every operator is stored once, TRANSPOSED -- M_state^T,
+// M_in^T and c_amb^T (a 1 x n row) -- because that is what the panel
+// kernels (util/panel.hpp) read: each output element is one ascending
+// fold over an operator row. BatchStepPropagator applies them; a lone
+// TransientSimulator is a one-member panel, so every stepping caller
+// runs the same kernel on the same bits.
 //
 // Power-hold fast path: k identical steps compose into one affine
 // operator. Composition of two holds (A2,B2,c2) o (A1,B1,c1) is
-// (A2 A1, A2 B1 + B2, A2 c1 + c2), so Hold(k) is built by binary
-// powering in O(log k) GEMMs and memoized; advancing a constant-power
-// segment then costs ONE application regardless of k. Used by
-// TransientSimulator::StepHold / StepN for warm-up and constant-power
-// segments where intermediate samples are not needed.
+// (A2 A1, A2 B1 + B2, A2 c1 + c2); in the transposed layout that is
+// (A1^T A2^T, B1^T A2^T + B2^T, c1^T A2^T + c2^T), which multiplies the
+// same products in the same order. Hold(k) is built by binary powering
+// in O(log k) GEMMs and memoized; advancing a constant-power segment
+// then costs ONE application regardless of k.
 //
 // Sharing: a propagator is immutable after construction except for the
 // mutex-protected hold-operator cache, so one instance can serve every
@@ -49,92 +54,49 @@ namespace ds::thermal {
 
 class StepPropagator {
  public:
-  /// One k-step affine operator: T_{+k} = t_op T + in_op P + amb_op.
-  /// The *_t members are transposed copies for the outer-product panel
-  /// kernels (util/panel.hpp); they are filled only when the operator
-  /// was requested via Hold(k, /*for_batch=*/true), so holds that only
-  /// ever serve the per-job GEMV path stay half the size.
+  /// One k-step affine operator T_{+k} = A T + B P + c, stored
+  /// transposed for the panel kernels.
   struct HoldOperator {
     std::size_t k = 0;
-    util::Matrix t_op;             // n x n
-    util::Matrix in_op;            // n x num_cores
-    std::vector<double> amb_op;    // n
-    util::Matrix t_op_t;           // n x n, t_op transposed (batch only)
-    util::Matrix in_op_t;          // num_cores x n (batch only)
+    util::Matrix state_t;  // n x n: A^T
+    util::Matrix input_t;  // num_cores x n: B^T
+    util::Matrix ambient;  // 1 x n: c^T
   };
 
   /// Folds the implicit-Euler step of `model` at step `dt_s` into the
   /// dense operator triple. O(n^3) build (factor + multi-RHS solve on
   /// the identity), done once per (model, dt). Throws
   /// std::invalid_argument for non-positive dt and util::SolverError
-  /// if the system matrix is singular or the fold is non-finite.
+  /// if the system matrix is singular or a folded operator is
+  /// non-finite (e.g. a dt so small that C/dt overflows).
   StepPropagator(const RcModel& model, double dt_s);
 
-  /// One step: out = M_state state + M_in core_powers + c_amb.
-  /// Allocation-free; `out` must not alias `state`.
-  void Apply(std::span<const double> state,
-             std::span<const double> core_powers,
-             std::span<double> out) const;
-
-  /// k steps under constant power in one application of Hold(k).
-  /// Allocation-free after the memoized hold operator exists.
-  void ApplyHold(const HoldOperator& hold, std::span<const double> state,
-                 std::span<const double> core_powers,
-                 std::span<double> out) const;
+  /// The one-step operator (k = 1).
+  const HoldOperator& step() const { return *step_; }
 
   /// Memoized k-step hold operator (k >= 1), built by binary powering
-  /// over a cached chain of power-of-two holds. Thread-safe. Pass
-  /// for_batch = true to also populate (once) the transposed copies the
-  /// batched panel path applies; a hold already memoized without them
-  /// gains them in place under the cache lock.
-  std::shared_ptr<const HoldOperator> Hold(std::size_t k,
-                                           bool for_batch = false) const;
+  /// over a cached chain of power-of-two holds. Thread-safe.
+  std::shared_ptr<const HoldOperator> Hold(std::size_t k) const;
 
-  /// Approximate resident bytes: the operator triple plus the memoized
+  /// Approximate resident bytes: the step operator plus the memoized
   /// hold operators (deduplicated -- holds_ aliases pow2_ entries).
   /// Thread-safe; used by ModelCache budget accounting.
   std::size_t ApproxBytes() const;
 
   double dt() const { return dt_; }
-  std::size_t num_nodes() const { return m_state_.rows(); }
-  std::size_t num_cores() const { return m_in_.cols(); }
+  std::size_t num_nodes() const { return step_->state_t.rows(); }
+  std::size_t num_cores() const { return step_->input_t.rows(); }
   const RcModel& model() const { return *model_; }
-  const util::Matrix& state_operator() const { return m_state_; }
-  const util::Matrix& input_operator() const { return m_in_; }
-  std::span<const double> ambient_operator() const { return c_amb_; }
-
-  /// Transposed copies of M_state / M_in for the outer-product panel
-  /// kernels: state_operator_t()(c, i) == state_operator()(i, c). Built
-  /// lazily on first use (both at once, under the hold-cache lock),
-  /// immutable afterwards; the returned references stay valid for the
-  /// propagator's lifetime. Thread-safe.
-  const util::Matrix& state_operator_t() const;
-  const util::Matrix& input_operator_t() const;
 
  private:
-  /// hold_out = b o a (apply `a` first, then `b`).
-  HoldOperator Compose(const HoldOperator& b, const HoldOperator& a) const;
-
   const RcModel* model_;
   double dt_;
-  util::Matrix m_state_;
-  util::Matrix m_in_;
-  std::vector<double> c_amb_;
-
-  // Lazily-built transposes of m_state_ / m_in_. Written exactly once
-  // under hold_mu_; every reader obtains its reference from an accessor
-  // that takes the lock first, so post-publication reads are safe
-  // without annotation (annotating would flag the returned references).
-  mutable util::Matrix m_state_t_;
-  mutable util::Matrix m_in_t_;
+  std::shared_ptr<const HoldOperator> step_;
 
   mutable Mutex hold_mu_{locks::kPropagator};
-  // Non-const entries so Hold(k, for_batch=true) can fill transposes
-  // into an already-memoized operator in place (under hold_mu_); the
-  // public surface still hands out shared_ptr<const HoldOperator>.
-  mutable std::vector<std::shared_ptr<HoldOperator>> pow2_
+  mutable std::vector<std::shared_ptr<const HoldOperator>> pow2_
       DS_GUARDED_BY(hold_mu_);
-  mutable std::map<std::size_t, std::shared_ptr<HoldOperator>> holds_
+  mutable std::map<std::size_t, std::shared_ptr<const HoldOperator>> holds_
       DS_GUARDED_BY(hold_mu_);
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "telemetry/scoped.hpp"
 #include "thermal/steady_state.hpp"
@@ -19,108 +17,60 @@ bool AllFinite(std::span<const double> v) {
   return true;
 }
 
-/// kAuto resolution: DS_THERMAL_KERNEL=lu|propagator pins the kernel
-/// for A/B runs; otherwise kAuto stays kAuto (lazy upgrade). The two
-/// batch-ladder values are also understood here so one env var drives
-/// the whole kernel ladder (lu -> propagator -> batch): "batch" means
-/// the sweep engine forms lockstep cohorts eagerly, and for a lone
-/// TransientSimulator it implies the eager propagator (the batch path's
-/// underlying operator); "auto" keeps the lazy default at both levels.
-StepKernel ResolveKernel(StepKernel requested) {
-  if (requested != StepKernel::kAuto) return requested;
-  // Read-only env lookup; nothing in this process calls setenv, so the
-  // getenv data race concurrency-mt-unsafe guards against cannot occur.
-  const char* env = std::getenv("DS_THERMAL_KERNEL");  // NOLINT(concurrency-mt-unsafe)
-  if (env != nullptr) {
-    const std::string_view name(env);
-    if (name == "lu") return StepKernel::kLu;
-    if (name == "propagator" || name == "batch")
-      return StepKernel::kPropagator;
-    if (name == "auto") return StepKernel::kAuto;
-  }
-  return StepKernel::kAuto;
-}
-
 }  // namespace
 
-// dt_s is validated by the propagator / legacy system build below.
 TransientSimulator::TransientSimulator(
     const RcModel& model, double dt_s, StepKernel kernel,
-    std::shared_ptr<const PropagatorSet> shared)
-    : model_(&model),
-      dt_(dt_s),
-      kernel_(ResolveKernel(kernel)),
-      state_(model.num_nodes(), model.ambient_c()),
-      scratch_(model.num_nodes(), 0.0),
-      amb_rhs_(model.num_nodes(), 0.0) {
+    const std::shared_ptr<const PropagatorSet>& shared)
+    : model_(&model), dt_(dt_s), kernel_(kernel) {
   DS_REQUIRE(dt_s > 0.0 && std::isfinite(dt_s),
              "TransientSimulator: step dt " << dt_s << " s must be positive");
+  const std::size_t n = model.num_nodes();
+  const std::vector<double> ambient(n, model.ambient_c());
+  if (kernel_ == StepKernel::kAuto) {
+    panel_.emplace(shared != nullptr
+                       ? shared->For(model, dt_s)
+                       : std::make_shared<const StepPropagator>(model, dt_s),
+                   /*k_max=*/1);
+    panel_->AddMember(ambient);
+    return;
+  }
+  util::Matrix system = model.conductance();
+  for (std::size_t i = 0; i < n; ++i)
+    system(i, i) += model.capacitance()[i] / dt_s;
+  if (!AllFinite(system.data()))
+    throw util::SolverError(
+        "TransientSimulator: non-finite system matrix (C/dt overflow)");
+  lu_ = std::make_unique<util::LuFactorization>(system);
+  state_ = ambient;
+  rhs_.assign(n, 0.0);
+  amb_rhs_.assign(n, 0.0);
   const auto& amb_g = model.ambient_conductance();
-  for (std::size_t i = 0; i < amb_rhs_.size(); ++i)
+  for (std::size_t i = 0; i < n; ++i)
     amb_rhs_[i] = amb_g[i] * model.ambient_c();
-
-  if (kernel_ == StepKernel::kPropagator) {
-    try {
-      prop_ = shared != nullptr ? shared->For(model, dt_s)
-                                : std::make_shared<const StepPropagator>(
-                                      model, dt_s);
-    } catch (const util::SolverError&) {
-      // Degraded model (singular / non-finite fold): keep stepping on
-      // the legacy factorization, which tolerates more and is the
-      // baseline the fault-retry machinery reasons about.
-      DS_TELEM_COUNT("thermal.kernel.lu_fallbacks", 1);
-      ds::telemetry::EmitInstant("thermal", "propagator_fallback_lu",
-                                 ds::telemetry::TraceLevel::kDecision);
-      kernel_ = StepKernel::kLu;
-    }
-  } else if (kernel_ == StepKernel::kAuto) {
-    // Lazy kAuto: pay only the cheap factorization now; fold the
-    // propagator once this simulator has asked for enough steps to
-    // amortize it (NoteAutoSteps).
-    auto_pending_ = true;
-    shared_ = std::move(shared);
-    kernel_ = StepKernel::kLu;
-  }
-  if (kernel_ == StepKernel::kLu) BuildLegacyLu();
 }
 
-void TransientSimulator::NoteAutoSteps(std::size_t n) {
-  if (!auto_pending_) return;
-  auto_steps_ += n;
-  if (auto_steps_ < kAutoUpgradeSteps) return;
-  auto_pending_ = false;
-  try {
-    prop_ = shared_ != nullptr
-                ? shared_->For(*model_, dt_)
-                : std::make_shared<const StepPropagator>(*model_, dt_);
-    kernel_ = StepKernel::kPropagator;
-    DS_TELEM_COUNT("thermal.kernel.auto_upgrades", 1);
-  } catch (const util::SolverError&) {
-    // Fold failed on a degraded model: stay on the LU path for good.
-    DS_TELEM_COUNT("thermal.kernel.lu_fallbacks", 1);
-    ds::telemetry::EmitInstant("thermal", "propagator_fallback_lu",
-                               ds::telemetry::TraceLevel::kDecision);
-  }
-  shared_.reset();
+std::span<const double> TransientSimulator::state() const {
+  if (panel_) return panel_->MemberState(0);
+  return state_;
 }
 
-void TransientSimulator::BuildLegacyLu() {
-  system_ = model_->conductance();
-  for (std::size_t i = 0; i < model_->num_nodes(); ++i)
-    system_(i, i) += model_->capacitance()[i] / dt_;
-  system_lu_ = std::make_unique<util::LuFactorization>(system_);
+void TransientSimulator::SetState(std::span<const double> state) {
+  if (panel_)
+    panel_->SetState(0, state);
+  else
+    state_.assign(state.begin(), state.end());
+  time_ = 0.0;
 }
 
 void TransientSimulator::Reset() {
-  state_.assign(model_->num_nodes(), model_->ambient_c());
-  time_ = 0.0;
+  SetState(std::vector<double>(model_->num_nodes(), model_->ambient_c()));
 }
 
 void TransientSimulator::InitializeSteadyState(
     std::span<const double> core_powers) {
   const SteadyStateSolver solver(*model_);
-  state_ = solver.SolveFull(core_powers);
-  time_ = 0.0;
+  SetState(solver.SolveFull(core_powers));
 }
 
 bool TransientSimulator::InitializeSteadyStateRobust(
@@ -131,12 +81,11 @@ bool TransientSimulator::InitializeSteadyStateRobust(
       throw util::SolverError(
           "InitializeSteadyStateRobust: injected non-convergence");
     const SteadyStateSolver solver(*model_);
-    std::vector<double> solution = solver.SolveFull(core_powers);
+    const std::vector<double> solution = solver.SolveFull(core_powers);
     if (!AllFinite(solution))
       throw util::SolverError(
           "InitializeSteadyStateRobust: non-finite steady state");
-    state_ = std::move(solution);
-    time_ = 0.0;
+    SetState(solution);
     return false;
   } catch (const util::SolverError&) {
     // Retry with perturbed pivoting: regularizes a (near-)singular
@@ -150,102 +99,85 @@ bool TransientSimulator::InitializeSteadyStateRobust(
     const auto& amb_g = model_->ambient_conductance();
     const double t_amb = model_->ambient_c();
     for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += amb_g[i] * t_amb;
-    std::vector<double> solution = lu.Solve(rhs);
+    const std::vector<double> solution = lu.Solve(rhs);
     if (!AllFinite(solution))
       throw util::SolverError(
           "InitializeSteadyStateRobust: steady-state solve failed even "
           "with perturbed pivoting");
-    state_ = std::move(solution);
-    time_ = 0.0;
+    SetState(solution);
     return true;
   }
 }
 
-void TransientSimulator::FillLegacyRhs(std::span<const double> core_powers) {
+void TransientSimulator::CheckPowers(std::span<const double> core_powers,
+                                     const char* caller) const {
+  DS_REQUIRE(core_powers.size() == model_->num_cores(),
+             caller << ": " << core_powers.size() << " powers for "
+                    << model_->num_cores() << " cores");
+  DS_REQUIRE(AllFinite(core_powers), caller << ": non-finite power input");
+}
+
+void TransientSimulator::StepLu(std::span<const double> core_powers) {
   const auto& cap = model_->capacitance();
-  for (std::size_t i = 0; i < scratch_.size(); ++i)
-    scratch_[i] = cap[i] / dt_ * state_[i] + amb_rhs_[i];
+  for (std::size_t i = 0; i < rhs_.size(); ++i)
+    rhs_[i] = cap[i] / dt_ * state_[i] + amb_rhs_[i];
   for (std::size_t i = 0; i < model_->num_cores(); ++i)
-    scratch_[model_->DieNode(i)] += core_powers[i];
+    rhs_[model_->DieNode(i)] += core_powers[i];
+  lu_->Solve(rhs_, state_);  // permute + triangular sweeps
 }
 
 void TransientSimulator::Step(std::span<const double> core_powers) {
-  NoteAutoSteps(1);
-  StepImpl(core_powers);
-}
-
-void TransientSimulator::StepImpl(std::span<const double> core_powers) {
-  DS_REQUIRE(core_powers.size() == model_->num_cores(),
-             "TransientSimulator::Step: " << core_powers.size()
-                 << " powers for " << model_->num_cores() << " cores");
-  DS_REQUIRE(AllFinite(core_powers),
-             "TransientSimulator::Step: non-finite power input");
+  CheckPowers(core_powers, "TransientSimulator::Step");
   DS_TELEM_COUNT("thermal.transient_steps", 1);
   DS_TELEM_TIMER("thermal.transient_step_us");
-  if (prop_ != nullptr) {
+  if (panel_) {
     DS_TELEM_COUNT("thermal.kernel.propagator_steps", 1);
-    prop_->Apply(state_, core_powers, scratch_);
+    panel_->SetPowers(0, core_powers);
+    panel_->Step();
   } else {
     DS_TELEM_COUNT("thermal.kernel.lu_steps", 1);
-    FillLegacyRhs(core_powers);
-    system_lu_->Solve(scratch_, state_);  // permute + triangular sweeps
+    StepLu(core_powers);
   }
-  // Both paths leave the new state in a member buffer; commit by
-  // pointer swap so stepping never allocates.
-  if (prop_ != nullptr) state_.swap(scratch_);
   time_ += dt_;
 }
 
 void TransientSimulator::StepN(std::span<const double> core_powers,
                                std::size_t n) {
-  if (n == 0) return;
-  NoteAutoSteps(n);
-  if (prop_ != nullptr && n > 1) {
-    StepHoldImpl(core_powers, n);
+  if (panel_ && n > 1) {
+    StepHold(core_powers, n);
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) StepImpl(core_powers);
+  for (std::size_t i = 0; i < n; ++i) Step(core_powers);
 }
 
 void TransientSimulator::StepHold(std::span<const double> core_powers,
                                   std::size_t k) {
-  NoteAutoSteps(k);
-  StepHoldImpl(core_powers, k);
-}
-
-void TransientSimulator::StepHoldImpl(std::span<const double> core_powers,
-                                      std::size_t k) {
   DS_REQUIRE(k >= 1, "TransientSimulator::StepHold: k must be >= 1");
-  DS_REQUIRE(core_powers.size() == model_->num_cores(),
-             "TransientSimulator::StepHold: " << core_powers.size()
-                 << " powers for " << model_->num_cores() << " cores");
-  DS_REQUIRE(AllFinite(core_powers),
-             "TransientSimulator::StepHold: non-finite power input");
-  if (prop_ == nullptr) {
-    // Legacy path: the hold operators do not exist; degrade to the
-    // step-by-step loop (identical semantics, no fast path).
-    for (std::size_t i = 0; i < k; ++i) StepImpl(core_powers);
+  CheckPowers(core_powers, "TransientSimulator::StepHold");
+  if (!panel_) {
+    // The LU lane has no hold operators: k explicit steps.
+    for (std::size_t i = 0; i < k; ++i) Step(core_powers);
     return;
   }
   DS_TELEM_COUNT("thermal.kernel.hold_calls", 1);
   DS_TELEM_COUNT("thermal.kernel.hold_steps", k);
   DS_TELEM_TIMER("thermal.transient_hold_us");
-  const std::shared_ptr<const StepPropagator::HoldOperator> hold =
-      prop_->Hold(k);
-  prop_->ApplyHold(*hold, state_, core_powers, scratch_);
-  state_.swap(scratch_);
+  panel_->SetPowers(0, core_powers);
+  panel_->StepN(k);
   time_ += static_cast<double>(k) * dt_;
 }
 
 std::vector<double> TransientSimulator::DieTemps() const {
-  return {state_.begin(),
-          state_.begin() + static_cast<std::ptrdiff_t>(model_->num_cores())};
+  const std::span<const double> s = state();
+  return {s.begin(),
+          s.begin() + static_cast<std::ptrdiff_t>(model_->num_cores())};
 }
 
 double TransientSimulator::PeakDieTemp() const {
-  double peak = state_[0];
+  const std::span<const double> s = state();
+  double peak = s[0];
   for (std::size_t i = 1; i < model_->num_cores(); ++i)
-    peak = std::max(peak, state_[i]);
+    peak = std::max(peak, s[i]);
   return peak;
 }
 

@@ -8,67 +8,55 @@
 // (~ms) differ by four orders of magnitude. The 1 ms default step
 // aligns with the paper's Turbo-Boost control period.
 //
-// Step kernels (selectable, see StepKernel):
-//  - kPropagator: the step is folded once per (model, dt) into dense
-//    operators T' = M_state T + M_in P + c_amb
-//    (thermal/propagator.hpp) and each step is an allocation-free
-//    GEMV pair -- no permutation gather, no triangular dependency
-//    chain. Constant-power segments can advance k steps in one
-//    application via StepHold. Propagators are shared across
-//    simulators (and sweep threads) through PropagatorSet.
-//  - kLu (legacy / A/B baseline): the system matrix is factored once
-//    and each step is a permuted triangular solve, now into a reused
-//    member scratch buffer so even this path is allocation-free. The
-//    construction also falls back to this path if the propagator fold
-//    fails (singular or non-finite), so a degraded model still steps.
-//  - kAuto (default): starts on the LU path (factor only -- roughly a
-//    third of the propagator's fold cost) and upgrades to the
-//    propagator once the *requested* step count reaches
-//    kAutoUpgradeSteps, so short-lived simulators never pay a fold
-//    they cannot amortize. The upgrade decision depends only on the
-//    sequence of Step/StepN/StepHold calls on THIS simulator -- never
-//    on shared-cache warmth or scheduling -- so results stay
-//    byte-identical across sweep thread counts. Both kernels step the
-//    same implicit-Euler update; the trajectory is identical to
-//    rounding error either way.
-// DS_THERMAL_KERNEL=lu|propagator overrides kAuto for A/B runs.
+// Stepping (see StepKernel):
+//  - kAuto (default, the one production path): the step is folded once
+//    per (model, dt) into dense operators T' = M_state T + M_in P +
+//    c_amb (thermal/propagator.hpp), at construction, through the
+//    shared PropagatorSet when one is given. The simulator is then a
+//    one-member BatchStepPropagator: each step is one allocation-free
+//    k = 1 panel pass, the same kernel and fold order sweep cohorts
+//    use, so DTM, sprint, chip_sim and Fig. 11 trajectories are bitwise
+//    the ones a sweep row would compute. Constant-power segments can
+//    advance k steps in one application via StepHold.
+//  - kLu (reference lane): the system matrix is factored once and each
+//    step is a permuted triangular solve into a reused buffer. It
+//    exists for the equivalence tests and as the bench baseline.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "thermal/batch_propagator.hpp"
 #include "thermal/propagator.hpp"
 #include "thermal/rc_model.hpp"
 #include "util/lu.hpp"
 
 namespace ds::thermal {
 
-/// Which stepping kernel a TransientSimulator uses. kAuto starts on
-/// the cheap-to-build LU path and upgrades to the propagator at
-/// kAutoUpgradeSteps requested steps; the DS_THERMAL_KERNEL
-/// environment variable ("lu" | "propagator") pins the kernel for A/B
-/// comparisons.
-enum class StepKernel { kAuto, kPropagator, kLu };
+/// Which stepping lane a TransientSimulator uses: kAuto steps the
+/// folded propagator on the panel kernel, kLu the reference LU solve.
+enum class StepKernel { kAuto, kLu };
 
 class TransientSimulator {
  public:
-  /// Requested steps after which a kAuto simulator folds the
-  /// propagator. 64 steps ~ the fold's cost expressed in LU steps, so
-  /// the upgrade pays for itself within the next ~64 steps.
+  /// Unused by the simulator (kAuto folds at construction); kept
+  /// because perfbench/layers.cpp still names it.
   static constexpr std::size_t kAutoUpgradeSteps = 64;
 
   /// Prepares stepping at fixed step `dt_s` (seconds): folds the dense
-  /// step propagator, or factors (C/dt + G) on the legacy path (kAuto
-  /// defers the fold; see kAutoUpgradeSteps).
+  /// step propagator (kAuto), or factors (C/dt + G) (kLu).
   /// `shared` (optional) memoizes propagators across simulators of the
   /// same model -- pass arch::Platform::propagators() or the set from
   /// runtime::ModelCache so sweeps fold each (model, dt) exactly once.
-  /// Throws std::invalid_argument for non-positive dt.
+  /// Throws std::invalid_argument for non-positive dt and
+  /// util::SolverError when the step cannot be built (singular system,
+  /// or a dt so small that C/dt overflows).
   explicit TransientSimulator(
       const RcModel& model, double dt_s = 1e-3,
       StepKernel kernel = StepKernel::kAuto,
-      std::shared_ptr<const PropagatorSet> shared = nullptr);
+      const std::shared_ptr<const PropagatorSet>& shared = nullptr);
 
   /// Resets all node temperatures to the ambient.
   void Reset();
@@ -93,15 +81,15 @@ class TransientSimulator {
   /// solve and poison the whole state vector).
   void Step(std::span<const double> core_powers);
 
-  /// Advances `n` steps with constant powers. On the propagator path
-  /// this routes through StepHold (one operator application instead of
-  /// n); the trajectory between the endpoints is not materialized.
+  /// Advances `n` steps with constant powers. On kAuto this routes
+  /// through StepHold (one operator application instead of n); the
+  /// trajectory between the endpoints is not materialized.
   void StepN(std::span<const double> core_powers, std::size_t n);
 
   /// Power-hold fast path: advances `k` steps under constant powers in
   /// one application of the memoized k-step hold operator. Matches k
   /// explicit Step() calls to rounding error (tested at 1e-9 C). On
-  /// the legacy LU path this degrades to k explicit steps.
+  /// the kLu lane this degrades to k explicit steps.
   void StepHold(std::span<const double> core_powers, std::size_t k);
 
   /// Current die temperatures [C].
@@ -113,39 +101,28 @@ class TransientSimulator {
   double dt() const { return dt_; }
   double time() const { return time_; }
   const RcModel& model() const { return *model_; }
-  const std::vector<double>& state() const { return state_; }
 
-  /// The kernel currently in use: kLu while a kAuto simulator has not
-  /// yet upgraded (and after a fold-failure fallback), kPropagator
-  /// after the upgrade / for an eager propagator build.
+  /// All node temperatures [C]. The view is valid until the next call
+  /// that changes the state (Step, StepN, StepHold, Reset, Initialize*).
+  std::span<const double> state() const;
+
   StepKernel kernel() const { return kernel_; }
 
  private:
-  void BuildLegacyLu();
-  void FillLegacyRhs(std::span<const double> core_powers);
-
-  /// kAuto bookkeeping: adds `n` requested steps and folds the
-  /// propagator once the total reaches kAutoUpgradeSteps.
-  void NoteAutoSteps(std::size_t n);
-
-  /// Step/StepHold bodies without kAuto counting (public entry points
-  /// count exactly the steps they were asked for, then dispatch here).
-  void StepImpl(std::span<const double> core_powers);
-  void StepHoldImpl(std::span<const double> core_powers, std::size_t k);
+  void CheckPowers(std::span<const double> core_powers,
+                   const char* caller) const;
+  void SetState(std::span<const double> state);
+  void StepLu(std::span<const double> core_powers);
 
   const RcModel* model_;
   double dt_;
   double time_ = 0.0;
   StepKernel kernel_;
-  std::shared_ptr<const StepPropagator> prop_;  // propagator path
-  util::Matrix system_;                         // C/dt + G (legacy path)
-  std::unique_ptr<util::LuFactorization> system_lu_;  // legacy path
-  std::vector<double> state_;         // all node temperatures
-  std::vector<double> scratch_;       // step output / RHS, reused
-  std::vector<double> amb_rhs_;       // g_amb * T_amb, precomputed
-  bool auto_pending_ = false;         // kAuto: propagator not folded yet
-  std::size_t auto_steps_ = 0;        // kAuto: requested steps so far
-  std::shared_ptr<const PropagatorSet> shared_;  // kept for lazy upgrade
+  std::optional<BatchStepPropagator> panel_;  // kAuto: member 0
+  std::unique_ptr<util::LuFactorization> lu_;  // kLu: C/dt + G
+  std::vector<double> state_;    // kLu: all node temperatures
+  std::vector<double> rhs_;      // kLu: step RHS, reused
+  std::vector<double> amb_rhs_;  // kLu: g_amb * T_amb, precomputed
 };
 
 }  // namespace ds::thermal

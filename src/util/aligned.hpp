@@ -1,11 +1,11 @@
 // 64-byte-aligned allocation for the dense numerical kernels.
 //
-// The blocked GEMV/GEMM kernels in util/kernels.hpp stream rows of
-// row-major matrices; aligning every row-major buffer to a cache line
-// keeps vector loads split-free and makes the hot-loop access pattern
-// identical from run to run. std::vector<double, AlignedAllocator<..>>
-// is used as the backing store of util::Matrix and of the transient
-// simulator's state/scratch buffers.
+// The panel kernels and GEMM (util/panel.hpp, util/kernels.hpp) stream
+// rows of row-major matrices; aligning every row-major buffer to a
+// cache line keeps vector loads split-free and makes the hot-loop
+// access pattern identical from run to run.
+// std::vector<double, AlignedAllocator<..>> is the backing store of
+// util::Matrix, and so of every operator and state panel.
 #pragma once
 
 #include <cstddef>

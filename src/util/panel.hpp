@@ -9,17 +9,17 @@
 // member's output row accumulates in registers.
 //
 // Determinism contract: the batched kernels are compiled WITHOUT value-
-// changing FP optimizations (see src/util/CMakeLists.txt -- the panel
-// TU deliberately omits -ffast-math), the operator is supplied
-// transposed, and every output element is one sequential ascending-c
-// fold: out(j,i) = fold_c of x(j,c) * at(c,i), one fused multiply-add
-// per c on AVX2/FMA builds (one rounded multiply plus add otherwise).
-// Because each element owns exactly one dependency chain, its bits
-// depend only on the contents of column j and the operator -- never on
-// k, on which other jobs share the panel, on column position, or on
-// the register-tile / unroll shape. This is what lets the sweep engine
-// promise byte-identical CSV output at any --batch-max-k: the scalar
-// lane is simply the k = 1 instance of the same code.
+// changing FP optimizations (see src/util/CMakeLists.txt), the
+// operator is supplied transposed, and every output element is one
+// sequential ascending-c fold: out(j,i) = fold_c of x(j,c) * at(c,i),
+// one fused multiply-add per c on AVX2/FMA builds (one rounded
+// multiply plus add otherwise). Because each element owns exactly one
+// dependency chain, its bits depend only on the contents of column j
+// and the operator -- never on k, on which other jobs share the panel,
+// on column position, or on the register-tile / unroll shape. This is
+// what lets the sweep engine promise byte-identical CSV output at any
+// --batch-max-k: the scalar lane, and every TransientSimulator, is
+// simply the k = 1 instance of the same code.
 #pragma once
 
 #include <cstddef>
@@ -96,7 +96,7 @@ class ColPanel {
 
 /// out_j = A x_j for the first k panel columns, with the operator
 /// supplied TRANSPOSED: at(c, i) = A(i, c), so at is n_in x m_out
-/// row-major (StepPropagator caches these copies). Requires
+/// row-major (the layout StepPropagator stores its operators in). Requires
 /// x.n() == at.rows(), out.n() == at.cols(), and
 /// k <= min(x.k_max(), out.k_max()); x and out must not alias.
 /// Allocation-free; the per-element fold order is fixed and

@@ -1,6 +1,7 @@
-// Batched (panel) stepping kernels.
+// Batched (panel) stepping kernels and the GEMM that composes hold
+// operators -- the one dense kernel of the thermal stepping path.
 //
-// This TU is compiled WITHOUT -ffast-math even in Release (see
+// This TU is compiled without fast-math even in Release (see
 // src/util/CMakeLists.txt): IEEE evaluation order here is a functional
 // contract, not a tuning choice.
 //
@@ -17,15 +18,18 @@
 // shape, or on the unroll factor -- because each element owns exactly
 // one sequential dependency chain. That is what lets the sweep engine
 // promise bitwise-identical trajectories at any cohort size: the k = 1
-// scalar lane runs the very same fold. (AVX2 and non-AVX2 binaries
-// differ -- fused vs unfused -- so the contract is per binary, which is
-// what the CSV byte-identity guarantee requires.)
+// lane (the sweep's scalar jobs and every TransientSimulator) runs the
+// very same fold. (AVX2 and non-AVX2 binaries differ -- fused vs
+// unfused -- so the contract is per binary, which is what the CSV
+// byte-identity guarantee requires.) Read with x = A and at = B, the
+// same fold is the row-major product C = A B, which is how Gemm below
+// reuses it.
 //
 // Speed comes from structure instead of reassociation license: the
 // register tiles below keep 8 independent output accumulators live
 // across the whole c loop, so the operator slab is read once per tile
 // and re-used from L1/L2 across cohort members while the fma ports stay
-// saturated -- turning the memory-bound GEMV stream into a
+// saturated -- turning the memory-bound one-column stream into a
 // compute-bound panel pass.
 #include <algorithm>
 #include <cmath>
@@ -37,6 +41,7 @@
 #endif
 
 #include "util/contracts.hpp"
+#include "util/kernels.hpp"
 #include "util/matrix.hpp"
 #include "util/panel.hpp"
 
@@ -147,19 +152,17 @@ inline void Axpy4Row(const double* a0, const double* a1, const double* a2,
 /// both the identical ascending-c fused fold per element -- the tiling
 /// is free to change, the per-element bits are not (see file comment):
 ///   k <= 2 -- streaming axpy sweep: c outer, so the operator is read
-///             once, sequentially, exactly like the GEMV lane's stream
-///             (memory-bound regime; prefetch-friendly).
+///             once, sequentially, like a GEMV stream (memory-bound
+///             regime; prefetch-friendly).
 ///   k >= 3 -- register tiles: 8-wide output blocks x member groups of
 ///             four, c innermost, so accumulators never round-trip
 ///             through memory and each L1-resident operator slab is
 ///             re-used by every member (compute-bound regime).
-void PanelImplT(const Matrix& at, const ColPanel& x, std::size_t k,
-                ColPanel* out, bool zero) {
+void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
+                Matrix& os, bool zero) {
   const std::size_t n = at.rows();
   const std::size_t m = at.cols();
   const double* base = at.row(0).data();
-  const Matrix& xs = x.storage();
-  Matrix& os = out->storage();
   if (k <= 2) {
     for (std::size_t j = 0; j < k; ++j) {
       double* oj = os.row(j).data();
@@ -220,12 +223,10 @@ void PanelImplT(const Matrix& at, const ColPanel& x, std::size_t k,
 /// plus one add per element per c. Not fused -- so non-AVX2 binaries
 /// produce (consistently) different bits than AVX2 ones; the
 /// determinism contract is per binary (see file comment).
-void PanelImplT(const Matrix& at, const ColPanel& x, std::size_t k,
-                ColPanel* out, bool zero) {
+void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
+                Matrix& os, bool zero) {
   const std::size_t n = at.rows();
   const std::size_t m = at.cols();
-  const Matrix& xs = x.storage();
-  Matrix& os = out->storage();
   for (std::size_t j = 0; j < k; ++j) {
     const double* xj = xs.row(j).data();
     double* oj = os.row(j).data();
@@ -252,18 +253,37 @@ void CheckPanelShapes(const Matrix& at, const ColPanel& x, std::size_t k,
                                << x.k_max() << "/" << out->k_max());
 }
 
+void CheckGemmShapes(const Matrix& a, const Matrix& b, const Matrix* c) {
+  DS_REQUIRE(c != nullptr, "Gemm: null output");
+  DS_REQUIRE(a.cols() == b.rows() && c->rows() == a.rows() &&
+                 c->cols() == b.cols(),
+             "Gemm: A " << a.rows() << "x" << a.cols() << " * B "
+                        << b.rows() << "x" << b.cols() << " -> C "
+                        << c->rows() << "x" << c->cols());
+}
+
 }  // namespace
+
+void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
+  CheckGemmShapes(a, b, c);
+  PanelImplT(b, a, a.rows(), *c, /*zero=*/true);
+}
+
+void GemmAdd(const Matrix& a, const Matrix& b, Matrix* c) {
+  CheckGemmShapes(a, b, c);
+  PanelImplT(b, a, a.rows(), *c, /*zero=*/false);
+}
 
 void PanelApplyT(const Matrix& at, const ColPanel& x, std::size_t k,
                  ColPanel* out) {
   CheckPanelShapes(at, x, k, out);
-  PanelImplT(at, x, k, out, /*zero=*/true);
+  PanelImplT(at, x.storage(), k, out->storage(), /*zero=*/true);
 }
 
 void PanelApplyAddT(const Matrix& at, const ColPanel& x, std::size_t k,
                     ColPanel* out) {
   CheckPanelShapes(at, x, k, out);
-  PanelImplT(at, x, k, out, /*zero=*/false);
+  PanelImplT(at, x.storage(), k, out->storage(), /*zero=*/false);
 }
 
 void PanelAddBroadcast(std::span<const double> v, std::size_t k,

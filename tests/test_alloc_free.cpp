@@ -2,7 +2,7 @@
 // path. Built as its own binary (not part of ds_tests) because it
 // replaces the global allocator with a counting one: after warm-up,
 // Step / StepHold / StepN must perform ZERO heap allocations on both
-// the propagator and the legacy LU kernel. This is the enforcement for
+// the propagator (k = 1 panel) and the reference LU lane. This is the enforcement for
 // the per-step-allocation fix -- a reintroduced std::vector in the step
 // path fails here, not in a profile three PRs later.
 #include <gtest/gtest.h>
@@ -58,8 +58,8 @@ std::uint64_t AllocsDuring(const std::function<void()>& body) {
 
 TEST(AllocFree, PropagatorStepAllocatesNothing) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
-  ASSERT_EQ(sim.kernel(), StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
+  ASSERT_EQ(sim.kernel(), StepKernel::kAuto);
   const std::vector<double> p(16, 2.0);
   sim.Step(p);  // warm-up (first telemetry-site touch, lazily, if any)
   EXPECT_EQ(AllocsDuring([&] {
@@ -82,7 +82,7 @@ TEST(AllocFree, LegacyLuStepAllocatesNothing) {
 
 TEST(AllocFree, StepHoldAllocatesNothingOnceOperatorIsMemoized) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
   const std::vector<double> p(16, 2.0);
   sim.StepHold(p, 50);  // builds + memoizes Hold(50)
   EXPECT_EQ(AllocsDuring([&] {
@@ -93,7 +93,7 @@ TEST(AllocFree, StepHoldAllocatesNothingOnceOperatorIsMemoized) {
 
 TEST(AllocFree, StepNAllocatesNothingAfterWarmup) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
   const std::vector<double> p(16, 2.0);
   sim.StepN(p, 25);  // memoizes Hold(25)
   EXPECT_EQ(AllocsDuring([&] {

@@ -1,14 +1,14 @@
 // Batched lockstep stepping: a member's trajectory inside a k-wide
-// cohort must be (a) within rounding error (1e-9 C) of the per-job
-// TransientSimulator propagator path it replaces, and (b) BITWISE
-// identical at any cohort size -- the scalar lane (k = 1 facade) runs
-// the same panel kernels, which is the determinism contract behind the
-// sweep engine's byte-identical CSV promise at any --batch-max-k.
+// cohort must be BITWISE identical (a) to a per-job TransientSimulator
+// -- a one-member panel over the same fold -- and (b) at any cohort
+// size, which is the determinism contract behind the sweep engine's
+// byte-identical CSV promise at any --batch-max-k and behind DTM,
+// sprint, chip_sim and Fig. 11 sharing the sweep rows' fold order.
 // Also covered: mid-cohort detachment (swap-last compaction leaves
 // survivors untouched bitwise), the memoized Hold(n) panel path,
 // mixed-dt cohorts off one PropagatorSet, and a TSan-hammered
-// concurrent-cohort run over one shared propagator (lazy transposed-
-// operator build and Hold(for_batch) upgrades race-free).
+// concurrent-cohort run over one shared propagator (memoized Hold(n)
+// builds race-free).
 #include "thermal/batch_propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -70,7 +70,7 @@ std::shared_ptr<const StepPropagator> MakeProp(const RcModel& model,
   return std::make_shared<const StepPropagator>(model, dt);
 }
 
-TEST(BatchStepPropagator, MatchesPerJobSimulatorTo1e9) {
+TEST(BatchStepPropagator, MatchesPerJobSimulatorBitwise) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   const auto prop = MakeProp(model, 1e-3);
   const std::size_t k = 4;
@@ -80,8 +80,8 @@ TEST(BatchStepPropagator, MatchesPerJobSimulatorTo1e9) {
   std::vector<TransientSimulator> refs;
   BatchStepPropagator batch(prop, k);
   for (std::size_t j = 0; j < k; ++j) {
-    refs.emplace_back(model, 1e-3, StepKernel::kPropagator);
-    ASSERT_EQ(refs.back().kernel(), StepKernel::kPropagator);
+    refs.emplace_back(model, 1e-3);
+    ASSERT_EQ(refs.back().kernel(), StepKernel::kAuto);
     refs.back().InitializeSteadyState(PowerPattern(model.num_cores(), j, 0));
     ASSERT_EQ(batch.AddMember(refs.back().state()), j);
   }
@@ -100,8 +100,8 @@ TEST(BatchStepPropagator, MatchesPerJobSimulatorTo1e9) {
   std::vector<double> out(model.num_nodes());
   for (std::size_t j = 0; j < k; ++j) {
     batch.CopyState(j, out);
-    EXPECT_LT(MaxAbsDiff(out, refs[j].state()), 1e-9) << "member " << j;
-    EXPECT_NEAR(batch.PeakDieTemp(j), refs[j].PeakDieTemp(), 1e-9);
+    EXPECT_TRUE(BitwiseEqual(out, refs[j].state())) << "member " << j;
+    EXPECT_EQ(batch.PeakDieTemp(j), refs[j].PeakDieTemp());
   }
   EXPECT_EQ(batch.steps(), 120u);
 }
@@ -111,8 +111,9 @@ TEST(BatchStepPropagator, BitwiseIdenticalAcrossCohortSizes) {
   const auto prop = MakeProp(model, 1e-3);
   const std::vector<double> init = InitialState(model.num_nodes(), 0);
 
-  // Lane A: the member alone (scalar lane, k = 1 facade).
-  BatchTransientFacade solo(prop, init);
+  // Lane A: the member alone (scalar lane, k = 1).
+  BatchStepPropagator solo(prop, 1);
+  ASSERT_EQ(solo.AddMember(init), 0u);
   // Lanes B, C: the same member sharing a panel with 1 / 4 others
   // carrying different states and powers.
   BatchStepPropagator duo(prop, 2);
@@ -126,7 +127,8 @@ TEST(BatchStepPropagator, BitwiseIdenticalAcrossCohortSizes) {
 
   for (std::size_t s = 0; s < 200; ++s) {
     const std::vector<double> p = PowerPattern(model.num_cores(), 0, s / 40);
-    solo.Step(p);
+    solo.SetPowers(0, p);
+    solo.Step();
     duo.SetPowers(0, p);
     five.SetPowers(0, p);
     for (std::size_t j = 1; j < 2; ++j)
@@ -136,8 +138,8 @@ TEST(BatchStepPropagator, BitwiseIdenticalAcrossCohortSizes) {
     duo.Step();
     five.Step();
   }
-  EXPECT_TRUE(BitwiseEqual(solo.state(), duo.MemberState(0)));
-  EXPECT_TRUE(BitwiseEqual(solo.state(), five.MemberState(0)));
+  EXPECT_TRUE(BitwiseEqual(solo.MemberState(0), duo.MemberState(0)));
+  EXPECT_TRUE(BitwiseEqual(solo.MemberState(0), five.MemberState(0)));
 }
 
 TEST(BatchStepPropagator, DetachLeavesSurvivorsBitwiseUnchanged) {
@@ -196,15 +198,18 @@ TEST(BatchStepPropagator, StepNHoldPathMatchesExplicitSteps) {
       EXPECT_LT(MaxAbsDiff(a, b), 1e-9) << "n=" << n << " member " << j;
     }
     EXPECT_EQ(held.steps(), stepped.steps());
-    // And the batched hold stays within rounding error of the per-job
-    // StepHold over the same memoized operator family.
-    TransientSimulator ref(model, 1e-3, StepKernel::kPropagator);
-    BatchTransientFacade facade(prop, ref.state());
+    // And the batched hold is bitwise the per-job StepHold: a
+    // simulator is a one-member panel over the same hold operators.
+    TransientSimulator ref(model, 1e-3);
+    BatchStepPropagator solo(prop, 1);
+    solo.AddMember(ref.state());
     const std::vector<double> p = PowerPattern(model.num_cores(), 0, 0);
     ref.StepHold(p, n);
-    facade.StepHold(p, n);
-    EXPECT_LT(MaxAbsDiff(facade.state(), ref.state()), 1e-9) << "n=" << n;
-    EXPECT_NEAR(facade.time(), ref.time(), 1e-12);
+    solo.SetPowers(0, p);
+    solo.StepN(n);
+    EXPECT_TRUE(BitwiseEqual(solo.MemberState(0), ref.state())) << "n=" << n;
+    EXPECT_NEAR(static_cast<double>(solo.steps()) * solo.dt(), ref.time(),
+                1e-12);
   }
 }
 
@@ -219,8 +224,8 @@ TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
 
   BatchStepPropagator fast(fast_prop, 2);
   BatchStepPropagator slow(slow_prop, 2);
-  TransientSimulator fast_ref(model, 1e-3, StepKernel::kPropagator);
-  TransientSimulator slow_ref(model, 2e-3, StepKernel::kPropagator);
+  TransientSimulator fast_ref(model, 1e-3);
+  TransientSimulator slow_ref(model, 2e-3);
   fast.AddMember(fast_ref.state());
   slow.AddMember(slow_ref.state());
   fast.AddMember(InitialState(model.num_nodes(), 1));
@@ -243,24 +248,6 @@ TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
   EXPECT_DOUBLE_EQ(slow.dt(), 2e-3);
 }
 
-TEST(BatchTransientFacade, DegenerateK1MirrorsTransientSurface) {
-  const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  const auto prop = MakeProp(model, 1e-3);
-  TransientSimulator ref(model, 1e-3, StepKernel::kPropagator);
-  BatchTransientFacade facade(prop, ref.state());
-
-  const std::vector<double> p = PowerPattern(model.num_cores(), 0, 0);
-  facade.Step(p);
-  ref.Step(p);
-  facade.StepN(p, 5);
-  ref.StepN(p, 5);
-  EXPECT_LT(MaxAbsDiff(facade.state(), ref.state()), 1e-9);
-  EXPECT_NEAR(facade.time(), ref.time(), 1e-12);
-  EXPECT_DOUBLE_EQ(facade.dt(), ref.dt());
-  ASSERT_EQ(facade.DieTemps().size(), model.num_cores());
-  EXPECT_NEAR(facade.PeakDieTemp(), ref.PeakDieTemp(), 1e-9);
-}
-
 TEST(BatchStepPropagator, RejectsBadInputs) {
   const RcModel model(Floorplan::MakeGrid(4, 5.1));
   const auto prop = MakeProp(model, 1e-3);
@@ -278,14 +265,13 @@ TEST(BatchStepPropagator, RejectsBadInputs) {
   EXPECT_THROW((void)batch.PeakDieTemp(7), ContractViolation);
 }
 
-// TSan target: many cohorts over ONE shared propagator. Construction
-// races on the lazy transposed-operator build; StepN races on
-// Hold(n, for_batch) upgrades of memoized holds that other threads
-// are concurrently reading through the per-job path.
+// TSan target: many cohorts over ONE shared propagator. StepN races on
+// the memoized Hold(n) build against per-job simulators reading the
+// same holds through the shared set.
 TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  const PropagatorSet set;
-  const auto prop = set.For(model, 1e-3);
+  const auto set = std::make_shared<const PropagatorSet>();
+  const auto prop = set->For(model, 1e-3);
 
   // Reference trajectory computed serially first.
   BatchStepPropagator ref(prop, 4);
@@ -310,7 +296,7 @@ TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
       // Interleave with a per-job simulator sharing the same memoized
       // holds, mimicking a sweep where scalar and batched workers
       // coexist.
-      TransientSimulator scalar(model, 1e-3, StepKernel::kPropagator);
+      TransientSimulator scalar(model, 1e-3, StepKernel::kAuto, set);
       for (std::size_t s = 0; s < 10; ++s) b.Step();
       scalar.StepHold(PowerPattern(model.num_cores(), t, 1), 16);
       b.StepN(16);

@@ -1,25 +1,27 @@
-// Step-propagator kernels: the folded dense operator path must match
-// the legacy LU stepping path to rounding error (1e-9 C) across
-// floorplan sizes, power patterns and hold lengths -- these two paths
-// are the A/B pair behind DS_THERMAL_KERNEL, so any divergence is a
-// correctness bug in one of them.
+// Step propagator: the folded dense operators (stepped on the panel
+// kernel) must match the reference LU stepping lane to rounding error
+// (1e-9 C) across floorplan sizes, power patterns and hold lengths --
+// the two StepKernel lanes solve the same implicit-Euler update, so any
+// divergence is a correctness bug in one of them.
 #include "thermal/propagator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/platform.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/transient.hpp"
+#include "util/lu.hpp"
 
 namespace ds::thermal {
 namespace {
 
-double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
+double MaxAbsDiff(std::span<const double> a, std::span<const double> b) {
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(a[i] - b[i]));
@@ -37,9 +39,9 @@ std::vector<double> PowerPattern(std::size_t n, std::size_t phase) {
 TEST(StepPropagator, MatchesLuPathAcrossFloorplanSizes) {
   for (const std::size_t cores : {4u, 16u, 49u, 100u}) {
     const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-    TransientSimulator fast(model, 1e-3, StepKernel::kPropagator);
+    TransientSimulator fast(model, 1e-3);
     TransientSimulator legacy(model, 1e-3, StepKernel::kLu);
-    ASSERT_EQ(fast.kernel(), StepKernel::kPropagator);
+    ASSERT_EQ(fast.kernel(), StepKernel::kAuto);
     ASSERT_EQ(legacy.kernel(), StepKernel::kLu);
     // Time-varying powers so the input operator is exercised too.
     for (std::size_t s = 0; s < 50; ++s) {
@@ -58,8 +60,8 @@ TEST(StepPropagator, HoldMatchesExplicitStepsToRoundingError) {
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 0);
   for (const std::size_t k : {1u, 2u, 3u, 7u, 64u, 1000u}) {
-    TransientSimulator held(model, 1e-3, StepKernel::kPropagator);
-    TransientSimulator stepped(model, 1e-3, StepKernel::kPropagator);
+    TransientSimulator held(model, 1e-3);
+    TransientSimulator stepped(model, 1e-3);
     // Start from a non-trivial state so t_op is exercised.
     held.InitializeSteadyState(PowerPattern(cores, 1));
     stepped.InitializeSteadyState(PowerPattern(cores, 1));
@@ -74,7 +76,7 @@ TEST(StepPropagator, HoldMatchesLegacyLuSteps) {
   const std::size_t cores = 16;
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 2);
-  TransientSimulator fast(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator fast(model, 1e-3);
   TransientSimulator legacy(model, 1e-3, StepKernel::kLu);
   fast.StepHold(p, 200);
   legacy.StepHold(p, 200);  // degrades to 200 explicit steps
@@ -85,8 +87,8 @@ TEST(StepPropagator, StepNRoutesThroughHoldWithIdenticalSemantics) {
   const std::size_t cores = 16;
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 0);
-  TransientSimulator a(model, 1e-3, StepKernel::kPropagator);
-  TransientSimulator b(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator a(model, 1e-3);
+  TransientSimulator b(model, 1e-3);
   a.StepN(p, 25);
   for (std::size_t s = 0; s < 25; ++s) b.Step(p);
   EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-9);
@@ -102,14 +104,28 @@ TEST(StepPropagator, HoldOperatorsAreMemoized) {
   const auto h2 = prop.Hold(37);
   EXPECT_EQ(h1.get(), h2.get());
   EXPECT_EQ(h1->k, 37u);
-  EXPECT_EQ(h1->t_op.rows(), model.num_nodes());
-  EXPECT_EQ(h1->in_op.cols(), model.num_cores());
+  EXPECT_EQ(h1->state_t.rows(), model.num_nodes());
+  EXPECT_EQ(h1->input_t.rows(), model.num_cores());
 }
 
 TEST(StepPropagator, RejectsNonPositiveDt) {
   const RcModel model(Floorplan::MakeGrid(4, 5.1));
   EXPECT_THROW(StepPropagator(model, 0.0), std::invalid_argument);
   EXPECT_THROW(StepPropagator(model, -1.0), std::invalid_argument);
+}
+
+TEST(StepPropagator, OverflowingStepScaleThrowsSolverError) {
+  // A positive, finite dt whose C/dt overflows must fail the build with
+  // a SolverError on both lanes instead of stepping the state to NaN.
+  const RcModel model(Floorplan::MakeGrid(4, 5.1));
+  const double dt = 1e-320;
+  EXPECT_THROW(StepPropagator(model, dt), util::SolverError);
+  EXPECT_THROW(TransientSimulator(model, dt), util::SolverError);
+  EXPECT_THROW(TransientSimulator(model, dt, StepKernel::kLu),
+               util::SolverError);
+  const PropagatorSet set;
+  EXPECT_THROW((void)set.For(model, dt), util::SolverError);
+  EXPECT_EQ(set.size(), 0u);
 }
 
 TEST(PropagatorSet, SharesOneInstancePerDt) {
@@ -133,37 +149,47 @@ TEST(PropagatorSet, RejectsASecondModel) {
 
 TEST(PropagatorSet, PlatformMakeTransientSharesPropagators) {
   const arch::Platform platform(power::TechNode::N16, 16);
-  TransientSimulator a = platform.MakeTransient(1e-3);
-  TransientSimulator b = platform.MakeTransient(1e-3);
-  // kAuto folds lazily: nothing lands in the shared set until a
-  // simulator crosses the upgrade threshold...
   EXPECT_EQ(platform.propagators()->size(), 0u);
-  const std::vector<double> p(16, 2.0);
-  a.StepHold(p, TransientSimulator::kAutoUpgradeSteps);
-  b.StepHold(p, TransientSimulator::kAutoUpgradeSteps);
-  // ...after which every simulator at that dt shares one fold.
+  // The fold happens at construction, into the platform's shared set...
+  TransientSimulator a = platform.MakeTransient(1e-3);
+  EXPECT_EQ(platform.propagators()->size(), 1u);
+  // ...and every later simulator at that dt reuses it.
+  TransientSimulator b = platform.MakeTransient(1e-3);
   EXPECT_EQ(platform.propagators()->size(), 1u);
   TransientSimulator c = platform.MakeTransient(5e-3);
-  c.StepHold(p, TransientSimulator::kAutoUpgradeSteps);
   EXPECT_EQ(platform.propagators()->size(), 2u);
+  const std::vector<double> p(16, 2.0);
+  a.StepHold(p, 64);
+  b.StepHold(p, 64);
+  c.StepHold(p, 64);
   // a and b advanced identically off the shared operators.
-  EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-15);
+  EXPECT_EQ(MaxAbsDiff(a.state(), b.state()), 0.0);
 }
 
 TEST(StepPropagator, OperatorShapesAndFiniteness) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   const StepPropagator prop(model, 1e-3);
-  EXPECT_EQ(prop.num_nodes(), model.num_nodes());
+  const std::size_t n = model.num_nodes();
+  EXPECT_EQ(prop.num_nodes(), n);
   EXPECT_EQ(prop.num_cores(), model.num_cores());
-  EXPECT_EQ(prop.state_operator().rows(), model.num_nodes());
-  EXPECT_EQ(prop.state_operator().cols(), model.num_nodes());
-  EXPECT_EQ(prop.input_operator().rows(), model.num_nodes());
-  EXPECT_EQ(prop.input_operator().cols(), model.num_cores());
-  EXPECT_EQ(prop.ambient_operator().size(), model.num_nodes());
+  // One copy of each operator, in the transposed layout the panel
+  // kernel reads: M_state^T, M_in^T and c_amb^T as a row.
+  const StepPropagator::HoldOperator& step = prop.step();
+  EXPECT_EQ(step.k, 1u);
+  EXPECT_EQ(step.state_t.rows(), n);
+  EXPECT_EQ(step.state_t.cols(), n);
+  EXPECT_EQ(step.input_t.rows(), model.num_cores());
+  EXPECT_EQ(step.input_t.cols(), n);
+  EXPECT_EQ(step.ambient.rows(), 1u);
+  EXPECT_EQ(step.ambient.cols(), n);
+  for (const util::Matrix* m : {&step.state_t, &step.input_t, &step.ambient})
+    for (const double x : m->data()) ASSERT_TRUE(std::isfinite(x));
+  // Hold(1) is the step operator itself, not a second copy.
+  EXPECT_EQ(prop.Hold(1).get(), &step);
   // The zero-power, ambient-start fixed point: ambient state must map
   // exactly back to ambient (M_state*T_amb + c_amb == T_amb) -- checked
   // through the simulator at tight tolerance.
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
   const std::vector<double> zero(model.num_cores(), 0.0);
   sim.Step(zero);
   for (const double t : sim.state()) EXPECT_NEAR(t, model.ambient_c(), 1e-9);

@@ -116,58 +116,5 @@ TEST_F(TransientTest, FasterThanPackageTimeConstantDieHeatsFirst) {
   EXPECT_GT(die - model_.ambient_c(), 10.0 * (sink - model_.ambient_c()));
 }
 
-TEST_F(TransientTest, AutoKernelStartsOnLuAndUpgradesAtThreshold) {
-  TransientSimulator sim(model_, 1e-3, StepKernel::kAuto);
-  EXPECT_EQ(sim.kernel(), StepKernel::kLu);  // cheap factorization first
-  const std::vector<double> p(16, 2.0);
-  for (std::size_t s = 0;
-       s + 1 < TransientSimulator::kAutoUpgradeSteps; ++s)
-    sim.Step(p);
-  EXPECT_EQ(sim.kernel(), StepKernel::kLu);  // one short of the threshold
-  sim.Step(p);
-  EXPECT_EQ(sim.kernel(), StepKernel::kPropagator);
-}
-
-TEST_F(TransientTest, AutoKernelUpgradesImmediatelyOnLargeHold) {
-  TransientSimulator sim(model_, 1e-3, StepKernel::kAuto);
-  const std::vector<double> p(16, 2.0);
-  // A single StepHold that already amortizes the fold upgrades before
-  // stepping -- the hold itself runs on the propagator.
-  sim.StepHold(p, 1000);
-  EXPECT_EQ(sim.kernel(), StepKernel::kPropagator);
-  EXPECT_NEAR(sim.time(), 1.0, 1e-12);
-}
-
-TEST_F(TransientTest, AutoTrajectoryMatchesPurePropagatorAcrossUpgrade) {
-  TransientSimulator lazy(model_, 1e-3, StepKernel::kAuto);
-  TransientSimulator eager(model_, 1e-3, StepKernel::kPropagator);
-  std::vector<double> p(16, 1.0);
-  // Straddle the upgrade boundary with varying powers: the LU prefix
-  // and the propagator suffix must chain into the same trajectory.
-  for (std::size_t s = 0; s < 3 * TransientSimulator::kAutoUpgradeSteps;
-       ++s) {
-    p[s % 16] = 1.0 + 0.25 * static_cast<double>(s % 4);
-    lazy.Step(p);
-    eager.Step(p);
-  }
-  EXPECT_EQ(lazy.kernel(), StepKernel::kPropagator);
-  EXPECT_LT(util::MaxAbsDiffVec(lazy.state(), eager.state()), 1e-9);
-  EXPECT_DOUBLE_EQ(lazy.time(), eager.time());
-}
-
-TEST_F(TransientTest, AutoUpgradeCountsRequestedStepsNotCalls) {
-  // StepN/StepHold count their full requested span exactly once, so a
-  // single StepN(64) is enough to upgrade...
-  TransientSimulator a(model_, 1e-3, StepKernel::kAuto);
-  const std::vector<double> p(16, 2.0);
-  a.StepN(p, TransientSimulator::kAutoUpgradeSteps);
-  EXPECT_EQ(a.kernel(), StepKernel::kPropagator);
-  // ...while 63 single steps are not.
-  TransientSimulator b(model_, 1e-3, StepKernel::kAuto);
-  for (std::size_t s = 0; s + 1 < TransientSimulator::kAutoUpgradeSteps; ++s)
-    b.Step(p);
-  EXPECT_EQ(b.kernel(), StepKernel::kLu);
-}
-
 }  // namespace
 }  // namespace ds::thermal

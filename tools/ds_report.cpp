@@ -28,8 +28,8 @@
 // (default 10). Each entry gates on its native throughput metric:
 // rows_per_s when present (BENCH_serve.json), jobs_per_s otherwise.
 // BENCH_thermal.json's flat batch_{scalar_,}us_k<k> pairs get their
-// own section: batched lockstep member-steps/s vs the scalar GEMV
-// lane, with the per-k speedup gated against the baseline.
+// own section: batched lockstep member-steps/s vs k independent
+// simulators, with the per-k speedup gated against the baseline.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -584,10 +584,10 @@ int RunBenchMode(const ds::util::ArgParser& args) {
 
   // Flat thermal kernel reports (BENCH_thermal.json) carry the batched
   // lockstep A/B section as per-k scalar/batched us-per-member-step
-  // pairs. Convert to member-steps/s, show batched vs the scalar GEMV
-  // baseline, and gate the batched speedup against --baseline so a
-  // panel-kernel regression fails CI the same way a throughput
-  // regression in the sweep benches does.
+  // pairs. Convert to member-steps/s, show batched vs the scalar
+  // baseline (k independent simulators), and gate the batched speedup
+  // against --baseline so a panel-kernel regression fails CI the same
+  // way a throughput regression in the sweep benches does.
   ds::util::Table bt({"cohort", "scalar steps/s", "batched steps/s",
                       "speedup", "base speedup"});
   static const std::string kBatchUs = "batch_us_k";
@@ -625,7 +625,7 @@ int RunBenchMode(const ds::util::ArgParser& args) {
     }
   }
   if (have_batch) {
-    std::cout << "\nbatched lockstep stepping (vs scalar GEMV lane)\n";
+    std::cout << "\nbatched lockstep stepping (vs independent simulators)\n";
     bt.Print(std::cout);
   }
   return regressions > 0 ? 1 : 0;
