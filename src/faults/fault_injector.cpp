@@ -52,7 +52,6 @@ const char* FaultEventKindName(FaultEventKind kind) {
 
 void FaultLog::Record(double time_s, FaultEventKind event, FaultKind kind,
                       std::size_t core, double value, std::string detail) {
-#if DS_TELEMETRY_COMPILED_IN
   // Bridge every log entry into the trace stream as an instant event.
   // Trace timestamps are wall-clock; simulation time and the affected
   // core ride along as arguments. The category encodes the event kind
@@ -75,7 +74,6 @@ void FaultLog::Record(double time_s, FaultEventKind event, FaultKind kind,
       cat, FaultKindName(kind), ds::telemetry::TraceLevel::kDecision,
       "sim_time_s", time_s, "core",
       core == kNoCore ? -1.0 : static_cast<double>(core));
-#endif
   events_.push_back(
       {time_s, event, kind, core, value, std::move(detail)});
 }

@@ -19,35 +19,8 @@ namespace ds::runtime {
 
 namespace {
 
-/// Exact round-trip float formatting, matching the result sink.
-std::string ExactNumber(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using telemetry::JsonEscape;
+using telemetry::JsonNumber;
 
 /// Byte-at-a-time CRC32 table (IEEE polynomial, reflected), built once.
 const std::array<std::uint32_t, 256>& CrcTable() {
@@ -105,7 +78,7 @@ std::string JournalLine(const JobResult& result) {
   bool first = true;
   for (const auto& [key, value] : result.metrics) {
     os << (first ? "" : ", ") << "\"" << JsonEscape(key)
-       << "\": " << ExactNumber(value);
+       << "\": " << JsonNumber(value);
     first = false;
   }
   os << "}}";

@@ -1,9 +1,9 @@
 #include "runtime/result_sink.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/json.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 
@@ -11,37 +11,8 @@ namespace ds::runtime {
 
 namespace {
 
-/// Exact round-trip float formatting for rows.
-std::string ExactNumber(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Minimal JSON string escaping (keys here are identifiers, but error
-/// strings can carry anything).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using telemetry::JsonEscape;
+using telemetry::JsonNumber;
 
 const char* StatusOf(const JobResult& r) {
   if (r.quarantined) return "quarantined";
@@ -144,7 +115,7 @@ std::string ResultSink::CsvRowLine(const JobResult& r,
     for (const auto& [key, value] : r.metrics) {
       (void)key;
       line += ",";
-      line += ExactNumber(value);
+      line += JsonNumber(value);
     }
   } else {
     line.append(metric_cols, ',');
@@ -203,7 +174,7 @@ void ResultSink::WriteJsonRows(std::ostream& os,
          << "\"";
     if (r.ok && !r.skipped) {
       for (const auto& [key, value] : r.metrics)
-        os << ", \"" << JsonEscape(key) << "\": " << ExactNumber(value);
+        os << ", \"" << JsonEscape(key) << "\": " << JsonNumber(value);
     }
     if (!r.ok)
       os << ", \"error\": \"" << JsonEscape(r.error) << "\"";

@@ -310,9 +310,10 @@ void RunBoostTransientCohort(
       }
       m.level = level;
       // Leakage/temperature fixed point, as in BoostingSimulator's
-      // closed loops; SteadyStateSolver is deterministic, so every
+      // closed loops, on the model's cached solver (MakePlatform just
+      // installed it); SteadyStateSolver is deterministic, so every
       // lane and cohort size starts from bitwise the same state.
-      const thermal::SteadyStateSolver solver(m.platform->thermal_model());
+      const thermal::SteadyStateSolver& solver = m.platform->solver();
       temps_buf.assign(m.platform->num_cores(),
                        m.platform->thermal_model().ambient_c());
       for (int it = 0; it < 3; ++it) {

@@ -7,12 +7,15 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <ostream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "runtime/scenarios.hpp"
 #include "telemetry/event_bus.hpp"
 #include "telemetry/heartbeat.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/scoped.hpp"
 #include "util/contracts.hpp"
 #include "util/lock_levels.hpp"
@@ -194,6 +197,8 @@ struct SharedState {
   std::atomic<std::size_t> jobs_timed_out{0};
   std::atomic<std::size_t> jobs_quarantined{0};
   std::atomic<std::uint64_t> retries_total{0};
+  std::atomic<std::size_t> batch_cohorts{0};
+  std::atomic<std::size_t> batch_cohort_members{0};
   std::atomic<std::size_t> batch_detached{0};
 
   ds::Mutex journal_mu{ds::locks::kJournal};
@@ -249,10 +254,8 @@ void RetireJob(SharedState& state, JobResult& result,
     state.jobs_retried.fetch_add(1, std::memory_order_relaxed);
   if (ever_timed_out)
     state.jobs_timed_out.fetch_add(1, std::memory_order_relaxed);
-  if (result.quarantined) {
+  if (result.quarantined)
     state.jobs_quarantined.fetch_add(1, std::memory_order_relaxed);
-    DS_TELEM_COUNT("sweep.quarantined", 1);
-  }
   result.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start)
           .count();
@@ -348,7 +351,6 @@ void ExecuteJob(SharedState& state, std::size_t worker, std::size_t index) {
         result.index = index;
         result.attempts = attempt;
         result.error = "deadline exceeded";
-        DS_TELEM_COUNT("sweep.job_timeouts", 1);
       } catch (const util::SolverError& e) {
         transient = true;
         result = JobResult{};
@@ -377,7 +379,6 @@ void ExecuteJob(SharedState& state, std::size_t worker, std::size_t index) {
         break;
       }
       state.retries_total.fetch_add(1, std::memory_order_relaxed);
-      DS_TELEM_COUNT("sweep.retries", 1);
       if (state.events != nullptr) {
         telemetry::Event e = telemetry::MakeEvent(
             telemetry::EventKind::kRetry,
@@ -406,6 +407,8 @@ void ExecuteCohort(SharedState& state, std::size_t worker,
   const std::size_t k = members.size();
   const auto start = Clock::now();
   state.in_flight.fetch_add(k, std::memory_order_relaxed);
+  state.batch_cohorts.fetch_add(1, std::memory_order_relaxed);
+  state.batch_cohort_members.fetch_add(k, std::memory_order_relaxed);
   std::vector<const SweepJob*> job_ptrs(k, nullptr);
   std::vector<JobResult*> result_ptrs(k, nullptr);
   std::vector<std::shared_ptr<faults::CancelToken>> tokens(k);
@@ -432,7 +435,7 @@ void ExecuteCohort(SharedState& state, std::size_t worker,
     }
   }
   std::vector<bool> detached(k, false);
-  bool cohort_failed = false;
+  std::exception_ptr cohort_error;  // the cohort as a whole threw
   {
     DS_TELEM_SPAN_ARG("runtime", "sweep_cohort",
                       ds::telemetry::TraceLevel::kSpan, "k",
@@ -448,8 +451,7 @@ void ExecuteCohort(SharedState& state, std::size_t worker,
       // Cohort-level failure (e.g. the shared fold threw): nobody's
       // row is trustworthy; every member re-runs scalar, where the
       // per-attempt ladder records the real error per row.
-      DS_TELEM_COUNT("sweep.cohort_failures", 1);
-      cohort_failed = true;
+      cohort_error = std::current_exception();
     }
     if (state.watchdog != nullptr) state.watchdog->End(worker);
   }
@@ -457,7 +459,7 @@ void ExecuteCohort(SharedState& state, std::size_t worker,
     // A cancellation landing after the member's last detach poll still
     // voids the row, matching the scalar lane's late-cancel check --
     // rows never depend on host speed vs. an enabled deadline.
-    if (cohort_failed || tokens[m]->cancelled()) detached[m] = true;
+    if (cohort_error != nullptr || tokens[m]->cancelled()) detached[m] = true;
   }
   for (std::size_t m = 0; m < k; ++m) {
     const std::size_t index = members[m];
@@ -467,7 +469,6 @@ void ExecuteCohort(SharedState& state, std::size_t worker,
       continue;
     }
     state.batch_detached.fetch_add(1, std::memory_order_relaxed);
-    DS_TELEM_COUNT("sweep.batch_detached", 1);
     if (state.events != nullptr) {
       telemetry::Event e = telemetry::MakeEvent(
           telemetry::EventKind::kRetry, static_cast<std::int64_t>(index),
@@ -639,13 +640,6 @@ SweepOutcome SweepEngine::Run() {
       }
     }
   }
-  for (const std::vector<std::size_t>& chunk : chunks) {
-    if (chunk.size() < 2) continue;
-    ++out.stats.batch_cohorts;
-    out.stats.batch_cohort_members += chunk.size();
-    DS_TELEM_COUNT("thermal.batch.cohorts", 1);
-    DS_TELEM_COUNT("thermal.batch.cohort_members", chunk.size());
-  }
 
   // Chunks round-robin across worker deques in formation order.
   threads = std::min(threads, std::max<std::size_t>(chunks.size(), 1));
@@ -756,6 +750,8 @@ SweepOutcome SweepEngine::Run() {
   out.stats.jobs_timed_out = state.jobs_timed_out.load();
   out.stats.jobs_quarantined = state.jobs_quarantined.load();
   out.stats.retries_total = state.retries_total.load();
+  out.stats.batch_cohorts = state.batch_cohorts.load();
+  out.stats.batch_cohort_members = state.batch_cohort_members.load();
   out.stats.batch_detached = state.batch_detached.load();
   for (const JobResult& r : out.results) {
     if (r.ok) {
@@ -787,6 +783,23 @@ SweepOutcome SweepEngine::Run() {
   DS_ENSURE(out.results.size() == jobs.size(),
             "SweepEngine: result/job count mismatch");
   return out;
+}
+
+void WriteSummaryJson(std::ostream& os, const SweepStats& stats) {
+  // Every field is one 8-byte scalar, so a field added to SweepStats
+  // but not to ForEachField fails to compile here instead of silently
+  // missing from the summary.
+  static_assert(sizeof(SweepStats) == 23 * sizeof(std::uint64_t));
+  const char* sep = "{\n  ";
+  stats.ForEachField([&](const char* name, auto value) {
+    os << sep << '"' << name << "\": ";
+    if constexpr (std::is_floating_point_v<decltype(value)>)
+      os << telemetry::JsonNumber(value);
+    else
+      os << value;
+    sep = ",\n  ";
+  });
+  os << "\n}\n";
 }
 
 }  // namespace ds::runtime

@@ -131,6 +131,8 @@ struct SweepOptions {
   std::size_t batch_max_k = 16;
 };
 
+/// Everything a sweep counted about itself: the one record every report
+/// reads (stderr lines, --summary-json, run_end events, perfbench).
 struct SweepStats {
   std::size_t jobs_total = 0;
   std::size_t jobs_executed = 0;  // run by this engine instance
@@ -159,12 +161,47 @@ struct SweepStats {
   std::uint64_t cache_bytes = 0;
 
   // Lockstep batching (boost_transient cohorts; this run only).
-  std::size_t batch_cohorts = 0;        // cohorts formed with k >= 2
+  std::size_t batch_cohorts = 0;        // cohorts run with k >= 2
   std::size_t batch_cohort_members = 0; // jobs executed inside them
   std::size_t batch_detached = 0;       // members detached to scalar rerun
 
   double wall_s = 0.0;
+
+  /// Calls `visit(name, value)` once per field above, in declaration
+  /// order, under the member's own name. WriteSummaryJson walks this
+  /// list, so the summary can neither rename nor drop a count.
+  template <typename Visit>
+  void ForEachField(Visit&& visit) const {
+    visit("jobs_total", jobs_total);
+    visit("jobs_executed", jobs_executed);
+    visit("jobs_resumed", jobs_resumed);
+    visit("jobs_failed", jobs_failed);
+    visit("jobs_skipped", jobs_skipped);
+    visit("jobs_pending", jobs_pending);
+    visit("threads_used", threads_used);
+    visit("steals", steals);
+    visit("cache_hits", cache_hits);
+    visit("cache_misses", cache_misses);
+    visit("jobs_retried", jobs_retried);
+    visit("jobs_timed_out", jobs_timed_out);
+    visit("jobs_quarantined", jobs_quarantined);
+    visit("retries_total", retries_total);
+    visit("journal_corrupt_records", journal_corrupt_records);
+    visit("journal_truncated_bytes", journal_truncated_bytes);
+    visit("journal_dedup_drops", journal_dedup_drops);
+    visit("cache_evictions", cache_evictions);
+    visit("cache_bytes", cache_bytes);
+    visit("batch_cohorts", batch_cohorts);
+    visit("batch_cohort_members", batch_cohort_members);
+    visit("batch_detached", batch_detached);
+    visit("wall_s", wall_s);
+  }
 };
+
+/// Writes `stats` as the --summary-json object: one flat JSON object
+/// with every field under its member name, counts as integers and
+/// wall_s as %.17g.
+void WriteSummaryJson(std::ostream& os, const SweepStats& stats);
 
 struct SweepOutcome {
   /// One entry per job, index order. With stop_after_jobs, entries for

@@ -27,6 +27,8 @@ using SteadyClock = std::chrono::steady_clock;
 
 namespace {
 
+using telemetry::JsonEscape;
+
 double MsSince(SteadyClock::time_point since) {
   return std::chrono::duration<double, std::milli>(SteadyClock::now() -
                                                    since)
@@ -37,29 +39,6 @@ std::int64_t NowUnixUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string Num(double v) {

@@ -16,36 +16,6 @@ namespace ds::telemetry {
 
 namespace {
 
-/// %.17g, matching the result sink / journal exact-number convention.
-void AppendNumber(std::ostream& os, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-void AppendEscaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 std::atomic<EventBus*>& ProcessBusSlot() {
   static std::atomic<EventBus*> bus{nullptr};
   return bus;
@@ -215,15 +185,10 @@ void EventBus::WriteEvent(std::ostream& os, const Event& event) {
   }
   for (const Event::Field& f : event.fields) {
     if (f.name == nullptr) break;
-    os << ",";
-    AppendEscaped(os, f.name);
-    os << ":";
-    AppendNumber(os, f.value);
+    os << ",\"" << JsonEscape(f.name) << "\":" << JsonNumber(f.value);
   }
-  if (event.detail[0] != '\0') {
-    os << ",\"detail\":";
-    AppendEscaped(os, event.detail);
-  }
+  if (event.detail[0] != '\0')
+    os << ",\"detail\":\"" << JsonEscape(event.detail) << "\"";
   os << "}\n";
 }
 

@@ -1,7 +1,10 @@
-// Minimal JSON parser, just enough to validate what this repository
-// emits (Chrome traces, metric dumps) -- used by tests/test_telemetry
-// and the tools/trace_check CLI so a malformed export fails loudly in
-// CI instead of silently confusing Perfetto.
+// Minimal JSON support: the one string escaper and exact-number
+// formatter every JSON writer in the repository shares (journal
+// records, JSON rows, event lines, service bodies, trace exports), plus
+// a parser just big enough to validate what those writers emit --
+// used by tests/test_telemetry and the tools/trace_check CLI so a
+// malformed export fails loudly in CI instead of silently confusing
+// Perfetto.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +34,16 @@ struct JsonValue {
   bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }
 };
+
+/// `s` escaped for use between JSON double quotes (quotes not
+/// included): double quote, backslash, \n, \r and \t as two-character
+/// escapes, other control characters as \u00XX, everything else
+/// verbatim.
+std::string JsonEscape(std::string_view s);
+
+/// `v` as "%.17g": 17 significant digits round-trip every double
+/// exactly, so rows and journal records reload bit-identically.
+std::string JsonNumber(double v);
 
 /// Parses `text` as one JSON document (trailing whitespace allowed).
 /// Throws std::runtime_error with a position-annotated message on any

@@ -1,11 +1,9 @@
 // Timing helpers and the instrumentation macros used at call sites.
 //
-// Every macro is gated twice: at compile time by
-// DS_TELEMETRY_COMPILED_IN (expands to nothing when 0) and at run time
-// by telemetry::Enabled() (one relaxed atomic load + branch). The
-// disabled cost at a call site is therefore a single predictable
-// branch, which keeps the <2% overhead budget of the closed-loop
-// benches with room to spare.
+// Every macro is gated at run time by telemetry::Enabled() (one relaxed
+// atomic load + branch). The disabled cost at a call site is therefore
+// a single predictable branch, which keeps the <2% overhead budget of
+// the closed-loop benches with room to spare.
 #pragma once
 
 #include <chrono>
@@ -56,8 +54,6 @@ class ScopedTimer {
 };
 
 }  // namespace ds::telemetry
-
-#if DS_TELEMETRY_COMPILED_IN
 
 #define DS_TELEM_CAT_(a, b) a##b
 #define DS_TELEM_CAT(a, b) DS_TELEM_CAT_(a, b)
@@ -117,24 +113,3 @@ class ScopedTimer {
                            arg1_name, arg1_value)                         \
   ds::telemetry::ScopedSpan DS_TELEM_CAT(ds_telem_s_, __LINE__)(          \
       cat, name, level, arg0_name, arg0_value, arg1_name, arg1_value)
-
-#else  // !DS_TELEMETRY_COMPILED_IN
-
-#define DS_TELEM_COUNT(name, n) \
-  do {                          \
-  } while (0)
-#define DS_TELEM_GAUGE_SET(name, v) \
-  do {                              \
-  } while (0)
-#define DS_TELEM_GAUGE_MAX(name, v) \
-  do {                              \
-  } while (0)
-#define DS_TELEM_TIMER(name) static_cast<void>(0)
-#define DS_TELEM_SPAN(cat, name, level) static_cast<void>(0)
-#define DS_TELEM_SPAN_ARG(cat, name, level, arg_name, arg_value) \
-  static_cast<void>(0)
-#define DS_TELEM_SPAN_ARG2(cat, name, level, arg0_name, arg0_value, \
-                           arg1_name, arg1_value)                   \
-  static_cast<void>(0)
-
-#endif  // DS_TELEMETRY_COMPILED_IN

@@ -1,10 +1,8 @@
 // Process-wide telemetry: metrics registry and the global enable gate.
 //
 // Design goals, in order:
-//   1. Zero-cost when off. Every instrumentation site is guarded by
-//      Enabled(), a single relaxed atomic load; with the compile-time
-//      gate DS_TELEMETRY_COMPILED_IN=0 the macros in scoped.hpp expand
-//      to nothing at all.
+//   1. Near-zero cost when off. Every instrumentation site is guarded
+//      by Enabled(), a single relaxed atomic load.
 //   2. Never perturb the simulation. Telemetry reads clocks and bumps
 //      atomics; it never touches an RNG, a solver input or any control
 //      decision, so enabling it leaves results bit-identical.
@@ -28,12 +26,6 @@
 #include "util/lock_levels.hpp"
 #include "util/thread_annotations.hpp"
 
-// Compile-time gate: build with -DDS_TELEMETRY_COMPILED_IN=0 to strip
-// every instrumentation macro from the binary.
-#ifndef DS_TELEMETRY_COMPILED_IN
-#define DS_TELEMETRY_COMPILED_IN 1
-#endif
-
 namespace ds::telemetry {
 
 namespace internal {
@@ -46,11 +38,7 @@ inline std::atomic<bool>& EnabledFlag() {
 /// Master runtime switch; off by default so untouched consumers pay
 /// one predictable branch per instrumentation site.
 inline bool Enabled() {
-#if DS_TELEMETRY_COMPILED_IN
   return internal::EnabledFlag().load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 void SetEnabled(bool on);

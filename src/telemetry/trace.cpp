@@ -7,20 +7,24 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "telemetry/json.hpp"
 #include "util/lock_levels.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace ds::telemetry {
 namespace {
 
-std::atomic<std::size_t> g_buffer_capacity{65536};
-
-// Registry of every thread's buffer. Buffers are never destroyed
-// (threads may outlive the collector's view of them); the mutex guards
-// registration and export only, never emission.
+// Registry of every ring ever created, plus the idle ones whose thread
+// has exited. Rings are never destroyed: an exiting thread parks its
+// ring on `idle` with its events still retained (so a later export
+// still shows them), and the next thread that needs a ring takes it
+// over instead of allocating another. The handoff happens under `mu`,
+// so a ring still has exactly one writer at a time. The mutex guards
+// registration, handoff and export only, never emission.
 struct BufferRegistry {
   ds::Mutex mu{ds::locks::kTraceRegistry};
   std::vector<TraceBuffer*> buffers DS_GUARDED_BY(mu);
+  std::vector<TraceBuffer*> idle DS_GUARDED_BY(mu);
 };
 
 BufferRegistry& Buffers() {
@@ -32,6 +36,38 @@ BufferRegistry& Buffers() {
   return *registry;
 }
 
+/// A thread's claim on one ring: taken on the thread's first event,
+/// handed back to the idle list when the thread exits.
+class RingLease {
+ public:
+  RingLease() {
+    BufferRegistry& reg = Buffers();
+    const ds::MutexLock lock(reg.mu);
+    if (!reg.idle.empty()) {
+      ring_ = reg.idle.back();
+      reg.idle.pop_back();
+      return;
+    }
+    // Intentional leak: a ring outlives its thread so a late
+    // Snapshot() can still drain it (see BufferRegistry).
+    ring_ = new TraceBuffer(  // ds_lint: allow(naked-new)
+        kTraceBufferCapacity);
+    reg.buffers.push_back(ring_);
+  }
+  ~RingLease() {
+    BufferRegistry& reg = Buffers();
+    const ds::MutexLock lock(reg.mu);
+    reg.idle.push_back(ring_);
+  }
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+
+  TraceBuffer& ring() const { return *ring_; }
+
+ private:
+  TraceBuffer* ring_ = nullptr;
+};
+
 std::chrono::steady_clock::time_point TraceEpoch() {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
@@ -39,30 +75,7 @@ std::chrono::steady_clock::time_point TraceEpoch() {
 }
 
 void AppendJsonString(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          os << ' ';  // control chars cannot appear in our literals
-        else
-          os << c;
-    }
-  }
-  os << '"';
+  os << '"' << JsonEscape(s) << '"';
 }
 
 void AppendEventJson(std::ostream& os, const TraceEvent& e, int tid) {
@@ -138,23 +151,9 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
 
 void TraceBuffer::Clear() { written_.store(0, std::memory_order_release); }
 
-void SetTraceBufferCapacity(std::size_t capacity) {
-  g_buffer_capacity.store(capacity == 0 ? 1 : capacity,
-                          std::memory_order_relaxed);
-}
-
 TraceBuffer& ThreadTraceBuffer() {
-  thread_local TraceBuffer* buffer = [] {
-    // Intentional leak: per-thread ring must survive thread exit so a
-    // late Snapshot() can still drain it.
-    auto* b = new TraceBuffer(  // ds_lint: allow(naked-new)
-        g_buffer_capacity.load(std::memory_order_relaxed));
-    BufferRegistry& reg = Buffers();
-    const ds::MutexLock lock(reg.mu);
-    reg.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
+  thread_local const RingLease lease;
+  return lease.ring();
 }
 
 std::int64_t TraceNowUs() {

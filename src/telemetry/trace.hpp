@@ -1,15 +1,20 @@
 // Low-overhead event tracing with Chrome trace_event JSON export.
 //
 // Architecture: one bounded ring buffer per writing thread, registered
-// once in a global collector. Each buffer has exactly one writer (the
-// owning thread), so emission is lock-free by construction -- a slot
-// write plus one release store of the write index; no CAS, no mutex on
-// the hot path. When a buffer wraps, the oldest events are overwritten
-// and counted as dropped (observability must never stall the
-// simulation).
+// in a global collector. Each buffer has exactly one writer at a time
+// (the thread holding it), so emission is lock-free by construction --
+// a slot write plus one release store of the write index; no CAS, no
+// mutex on the hot path. When a buffer wraps, the oldest events are
+// overwritten and counted as dropped (observability must never stall
+// the simulation). A thread that exits parks its ring, events
+// retained, and the next thread to record takes it over, so a process
+// that keeps starting short-lived workers (one pool per sweep) holds
+// as many rings as it has concurrent writers, not one per thread ever
+// started.
 //
 // Export produces Chrome trace_event JSON ("X" complete spans, "i"
-// instants) that loads directly in Perfetto / chrome://tracing.
+// instants) that loads directly in Perfetto / chrome://tracing, one
+// tid per ring: threads that shared a ring in turn share its tid.
 // Timestamps are microseconds on a steady clock relative to process
 // trace start; simulation time rides along as an event argument.
 //
@@ -97,11 +102,13 @@ class TraceBuffer {
   std::atomic<std::uint64_t> written_{0};
 };
 
-/// Ring capacity for buffers created after this call (default 65536
-/// events, ~4.5 MiB per writing thread).
-void SetTraceBufferCapacity(std::size_t capacity);
+/// Events per ring (~4.5 MiB). Rings are recycled across threads, so
+/// the process holds one per thread that is recording at the same time.
+inline constexpr std::size_t kTraceBufferCapacity = 65536;
 
-/// The calling thread's buffer (created and registered on first use).
+/// The calling thread's ring: on first use it takes over an idle ring
+/// left by an exited thread, or registers a new one. The ring returns
+/// to the idle list, events retained, when the thread exits.
 TraceBuffer& ThreadTraceBuffer();
 
 /// Microseconds since trace start on the steady clock.

@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/model_cache.hpp"
@@ -453,6 +454,64 @@ TEST(SweepObservabilityTest, ChaosRetryChainIsFullyCorrelated) {
             out.stats.jobs_executed);
   EXPECT_EQ(CountLines(text, "\"detail\":\"quarantined\""),
             out.stats.jobs_quarantined);
+}
+
+// --summary-json is SweepStats and nothing else: every field parses
+// back, in order, under its member name with the engine's value, and
+// the telemetry switch moves nothing but wall time.
+TEST(SweepObservabilityTest, SummaryJsonIsSweepStatsWithTelemetryOnOrOff) {
+  const runtime::SweepSpec spec = runtime::SweepSpec::FromJsonText(R"({
+    "name": "bt_summary", "kind": "boost_transient", "seed": 3,
+    "base": {"node": "16nm", "duration_s": 0.02, "control_ms": 1.0},
+    "axes": {"app": ["x264", "ferret"], "instances": [1, 2],
+             "power_cap_w": [300, 500]}
+  })");
+  const bool was_enabled = Enabled();
+  const auto run = [&spec](bool telemetry_on) {
+    SetEnabled(telemetry_on);
+    runtime::ModelCache cache;  // fresh, so cache counts match too
+    runtime::SweepOptions opts;
+    opts.threads = 1;
+    opts.cache = &cache;
+    opts.retry_backoff_ms = 0.0;
+    // Seed 8 fails job 3's first attempt only: one scalar retry beside
+    // a cohort of the other seven jobs.
+    opts.chaos.enabled = true;
+    opts.chaos.fail_rate = 0.2;
+    opts.chaos.seed = 8;
+    opts.chaos.max_faulty_attempts = 1;
+    const runtime::SweepStats stats =
+        runtime::SweepEngine(spec, opts).Run().stats;
+    std::ostringstream os;
+    runtime::WriteSummaryJson(os, stats);
+    const JsonValue doc = ParseJson(os.str());
+    EXPECT_TRUE(doc.is_object());
+    std::size_t i = 0;
+    stats.ForEachField([&](const char* name, auto value) {
+      ASSERT_LT(i, doc.object.size()) << name;
+      EXPECT_EQ(doc.object[i].first, name);
+      EXPECT_EQ(doc.object[i].second.number, static_cast<double>(value))
+          << name;
+      ++i;
+    });
+    EXPECT_EQ(i, doc.object.size());
+    return std::make_pair(stats, doc);
+  };
+  const auto [stats, off] = run(false);
+  const JsonValue on = run(true).second;
+  SetEnabled(was_enabled);
+
+  EXPECT_EQ(stats.jobs_retried, 1u);
+  EXPECT_EQ(stats.retries_total, 1u);
+  EXPECT_EQ(stats.batch_cohorts, 1u);
+  EXPECT_EQ(stats.batch_cohort_members, 7u);
+  ASSERT_EQ(off.object.size(), on.object.size());
+  for (std::size_t i = 0; i < off.object.size(); ++i) {
+    EXPECT_EQ(off.object[i].first, on.object[i].first);
+    if (off.object[i].first == "wall_s") continue;
+    EXPECT_EQ(off.object[i].second.number, on.object[i].second.number)
+        << off.object[i].first;
+  }
 }
 
 TEST(SweepObservabilityTest, ResultRowsAreByteIdenticalWithPlaneOnOrOff) {

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/platform.hpp"
@@ -175,6 +177,33 @@ TEST_F(TelemetryTest, TraceLevelGatesEmission) {
   const std::vector<TraceEvent> events = ThreadTraceBuffer().Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].name, "decision_event");
+}
+
+// A ring outlives its thread but not its usefulness: threads started
+// one after another hand the same ring on instead of each pinning a
+// fresh 4.5 MiB one, and every span they recorded still exports.
+TEST_F(TelemetryTest, ExitedThreadsHandTheirRingToTheNextThread) {
+  SetEnabled(true);
+  constexpr std::size_t kThreads = 64;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    std::thread([] {
+      const ScopedSpan span("test", "ring_reuse", TraceLevel::kSpan);
+    }).join();
+
+  std::ostringstream os;
+  WriteChromeTrace(os);
+  const JsonValue doc = ParseJson(os.str());
+  const JsonValue* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t spans = 0;
+  std::set<double> tids;
+  for (const JsonValue& e : events->array) {
+    if (e.Find("name")->str != "ring_reuse") continue;
+    ++spans;
+    tids.insert(e.Find("tid")->number);
+  }
+  EXPECT_EQ(spans, kThreads);
+  EXPECT_LE(tids.size(), 2u);
 }
 
 TEST_F(TelemetryTest, ChromeTraceParsesBack) {

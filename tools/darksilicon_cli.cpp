@@ -578,20 +578,9 @@ int CmdSweep(const util::ArgParser& args) {
 
   const std::string summary_path = args.GetString("summary-json");
   if (!summary_path.empty()) {
-    telemetry::RunSummary summary;
-    summary.title = "sweep " + spec.name();
-    summary.wall_time_s = s.wall_s;
-    summary.sweep_jobs_total = s.jobs_total;
-    summary.sweep_jobs_executed = s.jobs_executed;
-    summary.sweep_jobs_resumed = s.jobs_resumed;
-    summary.sweep_jobs_failed = s.jobs_failed;
-    summary.journal_corrupt_records = s.journal_corrupt_records;
-    summary.journal_truncated_bytes = s.journal_truncated_bytes;
-    summary.journal_dedup_drops = s.journal_dedup_drops;
-    summary.CollectTelemetry();
     std::ofstream f(summary_path);
     if (!f) throw std::runtime_error("cannot open " + summary_path);
-    summary.WriteJson(f);
+    runtime::WriteSummaryJson(f, s);
     std::cerr << "summary written to " << summary_path << "\n";
   }
 

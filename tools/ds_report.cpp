@@ -10,9 +10,10 @@
 // with `--events-out` into per-run analytics: job latency percentiles
 // (from `completed` wall_ms), outcome/retry/quarantine breakdowns,
 // chaos-injection and journal-recovery tallies, and bus drop
-// accounting. With `--summary`, the reconstruction is cross-checked
-// against the RunSummary JSON the same run wrote (`--summary-json`);
-// any disagreement -- a lost event, a miscounted retry -- exits
+// accounting. With `--summary`, every count the events can rebuild is
+// checked against the engine's own record of the run: the SweepStats
+// JSON the same run wrote (`--summary-json`). Any disagreement -- a
+// lost event, a miscounted retry, a field the summary lacks -- exits
 // nonzero, which is how CI proves the event stream is a faithful
 // record and not a lossy approximation.
 //
@@ -97,17 +98,14 @@ struct RunReport {
   bool has_run_end = false;
   std::size_t jobs_total = 0;
   std::size_t jobs_resumed = 0;
-  std::size_t run_end_executed = 0;
-  std::size_t run_end_failed = 0;
-  std::size_t run_end_quarantined = 0;
-  std::uint64_t run_end_retries = 0;
   double wall_s = 0.0;
 
   // Per-kind tallies.
   std::size_t scheduled = 0;
   std::size_t started = 0;        // scalar attempt starts (untagged)
   std::size_t cohort_starts = 0;  // cohort-lane starts (detail "cohort")
-  std::size_t retries = 0;
+  std::size_t retries = 0;        // scalar attempts beyond a job's first
+  std::size_t detaches = 0;       // "cohort detach" retries: cohort -> scalar
   std::size_t backoffs = 0;
   std::size_t heartbeats = 0;
   std::size_t cache_evicts = 0;
@@ -141,7 +139,6 @@ RunReport ParseEvents(const std::string& text) {
   RunReport r;
   std::size_t line_no = 0;
   std::size_t pos = 0;
-  std::map<std::int64_t, std::size_t> retries_by_job;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
     if (eol == std::string::npos) eol = text.size();
@@ -167,11 +164,6 @@ RunReport ParseEvents(const std::string& text) {
       r.jobs_resumed = static_cast<std::size_t>(NumField(ev, "jobs_resumed"));
     } else if (kind == "run_end") {
       r.has_run_end = true;
-      r.run_end_executed = static_cast<std::size_t>(NumField(ev, "executed"));
-      r.run_end_failed = static_cast<std::size_t>(NumField(ev, "failed"));
-      r.run_end_quarantined =
-          static_cast<std::size_t>(NumField(ev, "quarantined"));
-      r.run_end_retries = static_cast<std::uint64_t>(NumField(ev, "retries"));
       r.wall_s = NumField(ev, "wall_s");
     } else if (kind == "scheduled") {
       ++r.scheduled;
@@ -184,8 +176,13 @@ RunReport ParseEvents(const std::string& text) {
       else
         ++r.started;
     } else if (kind == "retry") {
-      ++r.retries;
-      ++retries_by_job[job];
+      // A member leaving its cohort for the scalar lane is announced as
+      // a retry but is not an extra attempt: the engine counts it as a
+      // detach, so keep it out of the retry tally.
+      if (StrField(ev, "detail") == "cohort detach")
+        ++r.detaches;
+      else
+        ++r.retries;
     } else if (kind == "backoff") {
       ++r.backoffs;
     } else if (kind == "quarantined") {
@@ -252,9 +249,9 @@ void PrintReport(const RunReport& r) {
   }
 
   std::cout << "resilience: " << r.retries << " retries, " << r.backoffs
-            << " backoffs, " << r.quarantined_jobs.size() << " quarantined; "
-            << "chaos: " << r.chaos_fail << " faults, " << r.chaos_delay
-            << " delays\n";
+            << " backoffs, " << r.quarantined_jobs.size() << " quarantined, "
+            << r.detaches << " cohort detaches; chaos: " << r.chaos_fail
+            << " faults, " << r.chaos_delay << " delays\n";
   if (!r.retried_jobs.empty()) {
     ds::util::Table chains({"job", "attempts", "outcome"});
     for (const auto& [job, info] : r.retried_jobs)
@@ -303,43 +300,37 @@ void WriteReportJson(const RunReport& r, const std::string& path) {
   out << "}\n";
 }
 
-/// Cross-checks the event-stream reconstruction against the RunSummary
-/// JSON written by the same run. Returns the number of mismatches.
+/// Checks every count the event stream can rebuild against the
+/// SweepStats summary the same run wrote, field by field under the
+/// summary's own names. Returns the number of mismatches.
 int VerifyAgainstSummary(const RunReport& r, const JsonValue& summary) {
   int mismatches = 0;
-  const auto check = [&mismatches](const char* what, double events,
-                                   double summary_value) {
-    if (events == summary_value) return;  // exact integral counts
-    std::cerr << "ds_report: MISMATCH " << what << ": events say " << events
-              << ", summary says " << summary_value << "\n";
-    ++mismatches;
+  const auto check = [&](const char* field, double events) {
+    const JsonValue* v = summary.Find(field);
+    if (v == nullptr || !v->is_number()) {
+      std::cerr << "ds_report: MISMATCH " << field
+                << ": summary has no such count\n";
+      ++mismatches;
+    } else if (events != v->number) {  // exact integral counts
+      std::cerr << "ds_report: MISMATCH " << field << ": events say "
+                << events << ", summary says " << v->number << "\n";
+      ++mismatches;
+    }
   };
-  check("jobs_total", static_cast<double>(r.jobs_total),
-        NumField(summary, "sweep_jobs_total"));
-  check("jobs_resumed", static_cast<double>(r.jobs_resumed),
-        NumField(summary, "sweep_jobs_resumed"));
-  check("jobs_executed", static_cast<double>(r.completed),
-        NumField(summary, "sweep_jobs_executed"));
   std::size_t failed = 0;
   for (const auto& [name, count] : r.outcomes)
     if (name == "failed" || name == "quarantined") failed += count;
-  check("jobs_failed", static_cast<double>(failed),
-        NumField(summary, "sweep_jobs_failed"));
-  check("journal_corrupt_records", static_cast<double>(r.journal_corrupt),
-        NumField(summary, "journal_corrupt_records"));
-  check("journal_dedup_drops", static_cast<double>(r.journal_dedup),
-        NumField(summary, "journal_dedup_drops"));
-  check("journal_truncated_bytes", r.journal_torn_bytes,
-        NumField(summary, "journal_truncated_bytes"));
-
-  // Internal consistency of the stream itself.
-  check("quarantined (events vs run_end)",
-        static_cast<double>(r.quarantined_jobs.size()),
-        static_cast<double>(r.run_end_quarantined));
-  check("retries (events vs run_end)", static_cast<double>(r.retries),
-        static_cast<double>(r.run_end_retries));
-  check("executed (events vs run_end)", static_cast<double>(r.completed),
-        static_cast<double>(r.run_end_executed));
+  check("jobs_total", static_cast<double>(r.jobs_total));
+  check("jobs_resumed", static_cast<double>(r.jobs_resumed));
+  check("jobs_executed", static_cast<double>(r.completed));
+  check("jobs_failed", static_cast<double>(failed));
+  check("jobs_quarantined", static_cast<double>(r.quarantined_jobs.size()));
+  check("retries_total", static_cast<double>(r.retries));
+  check("batch_detached", static_cast<double>(r.detaches));
+  check("batch_cohort_members", static_cast<double>(r.cohort_starts));
+  check("journal_corrupt_records", static_cast<double>(r.journal_corrupt));
+  check("journal_dedup_drops", static_cast<double>(r.journal_dedup));
+  check("journal_truncated_bytes", r.journal_torn_bytes);
   return mismatches;
 }
 
