@@ -6,41 +6,21 @@
 // stay quick while full-length paper runs remain one flag away.
 #pragma once
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apps/app_profile.hpp"
-#include "runtime/result_sink.hpp"
 #include "runtime/sweep_engine.hpp"
 #include "runtime/sweep_spec.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/scoped.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/table.hpp"
 
 namespace ds::bench {
-
-/// Version of the BENCH_*.json report schema. Bump when the shape of
-/// the per-bench entries changes so ds_report can refuse to diff
-/// incompatible baselines. v2 added the schema_version/git stamps.
-inline constexpr int kBenchSchemaVersion = 2;
-
-/// The commit that produced this binary (configure-time `git describe`
-/// via the DS_GIT_DESCRIBE definition in bench/CMakeLists.txt).
-inline const char* BenchGitDescribe() {
-#ifdef DS_GIT_DESCRIBE
-  return DS_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
 
 /// Figure labels (a)..(g) in the paper's order.
 inline std::string AppLabel(std::size_t index) {
@@ -101,113 +81,20 @@ inline void PaperNote(const std::string& text) {
   std::cout << "\nPaper: " << text << "\n";
 }
 
-/// Worker threads for bench sweeps: DS_BENCH_THREADS overrides (useful
-/// for the 1-vs-N determinism checks); otherwise the engine picks
-/// hardware concurrency.
-inline std::size_t SweepThreads() {
-  const char* v = std::getenv("DS_BENCH_THREADS");
-  if (v != nullptr && *v != '\0')
-    return static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-  return 0;  // engine default: hardware_concurrency
-}
-
-/// Accumulated engine statistics across the sweeps one bench runs;
-/// feeds the BENCH_sweep.json perf report.
-struct SweepAgg {
-  std::size_t jobs = 0;
-  std::size_t threads = 0;
-  double wall_s = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-
-  void Add(const runtime::SweepStats& s) {
-    jobs += s.jobs_executed;
-    threads = s.threads_used;
-    wall_s += s.wall_s;
-    cache_hits += s.cache_hits;
-    cache_misses += s.cache_misses;
-  }
-};
-
-/// Runs one sweep on the bench thread pool and folds its stats into
-/// `agg`. Results come back in job-index order (deterministic for any
-/// thread count), ready for the bench's original formatting pass.
-inline std::vector<runtime::JobResult> RunSweep(const runtime::SweepSpec& spec,
-                                                SweepAgg* agg = nullptr) {
+/// Runs one sweep on hardware_concurrency() worker threads. Results
+/// come back in job-index order (deterministic for any thread count),
+/// ready for the bench's original formatting pass.
+inline std::vector<runtime::JobResult> RunSweep(
+    const runtime::SweepSpec& spec) {
   runtime::SweepOptions opts;
-  opts.threads = SweepThreads();
+  opts.threads = 0;
   runtime::SweepEngine engine(spec, opts);
   runtime::SweepOutcome out = engine.Run();
-  if (agg != nullptr) agg->Add(out.stats);
   for (const runtime::JobResult& r : out.results)
     if (!r.ok)
       throw std::runtime_error("sweep '" + spec.name() + "' job failed: " +
                                r.error);
   return std::move(out.results);
-}
-
-/// Merges this bench's engine statistics into BENCH_sweep.json (path
-/// override: DS_BENCH_SWEEP_JSON), keyed by bench name, so CI can graph
-/// sweep throughput and cache effectiveness over time.
-inline void WriteSweepReport(const std::string& bench, const SweepAgg& agg) {
-  const char* env = std::getenv("DS_BENCH_SWEEP_JSON");
-  const std::string path =
-      (env != nullptr && *env != '\0') ? env : "BENCH_sweep.json";
-
-  // Keep other benches' entries: parse the existing file (if sound) and
-  // re-serialize everything but our key.
-  std::vector<std::pair<std::string, std::string>> rows;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in.good()) {
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      try {
-        const telemetry::JsonValue doc = telemetry::ParseJson(text);
-        if (doc.is_object()) {
-          for (const auto& [key, entry] : doc.object) {
-            if (key == bench || !entry.is_object()) continue;
-            std::string body;
-            for (const auto& [field, value] : entry.object) {
-              if (!value.is_number()) continue;
-              char num[40];
-              std::snprintf(num, sizeof(num), "%.17g", value.number);
-              body += (body.empty() ? "" : ", ") + ("\"" + field + "\": ") +
-                      num;
-            }
-            rows.emplace_back(key, "{" + body + "}");
-          }
-        }
-      } catch (const std::exception&) {
-        // Unreadable report: start fresh rather than fail the bench.
-      }
-    }
-  }
-  const double total = static_cast<double>(agg.cache_hits + agg.cache_misses);
-  char body[512];
-  std::snprintf(body, sizeof(body),
-                "{\"jobs\": %zu, \"threads\": %zu, \"wall_s\": %.6f, "
-                "\"jobs_per_s\": %.3f, \"cache_hits\": %llu, "
-                "\"cache_misses\": %llu, \"cache_hit_rate\": %.6f}",
-                agg.jobs, agg.threads, agg.wall_s,
-                agg.wall_s > 0.0 ? static_cast<double>(agg.jobs) / agg.wall_s
-                                 : 0.0,
-                static_cast<unsigned long long>(agg.cache_hits),
-                static_cast<unsigned long long>(agg.cache_misses),
-                total > 0.0 ? static_cast<double>(agg.cache_hits) / total
-                            : 0.0);
-  rows.emplace_back(bench, body);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << "{\n";
-  // Provenance stamps first. The merge loop above keeps only object
-  // entries, so stale stamps from the previous write never duplicate.
-  out << "  \"schema_version\": " << kBenchSchemaVersion << ",\n";
-  out << "  \"git\": \"" << BenchGitDescribe() << "\",\n";
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    out << "  \"" << rows[i].first << "\": " << rows[i].second
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  out << "}\n";
 }
 
 }  // namespace ds::bench

@@ -25,12 +25,10 @@ int main() {
   for (const apps::AppProfile& app : apps::ParsecSuite())
     app_names.push_back(app.name);
 
-  bench::SweepAgg agg;
   runtime::SweepSpec cspec("ext_characterize",
                            runtime::SweepKind::kCharacterize);
   cspec.Axis("app", app_names);
-  const std::vector<runtime::JobResult> derived =
-      bench::RunSweep(cspec, &agg);
+  const std::vector<runtime::JobResult> derived = bench::RunSweep(cspec);
 
   util::Table t({"app", "IPC sim", "IPC table", "Ceff sim [nF]",
                  "Ceff table", "Pind sim [W]", "Pind table", "L1 miss %",
@@ -54,8 +52,7 @@ int main() {
   // TLP side: simulate lock contention + barriers and fit Amdahl.
   runtime::SweepSpec sspec("ext_speedup", runtime::SweepKind::kSpeedup);
   sspec.Axis("app", app_names);
-  const std::vector<runtime::JobResult> speedups =
-      bench::RunSweep(sspec, &agg);
+  const std::vector<runtime::JobResult> speedups = bench::RunSweep(sspec);
 
   util::Table s({"app", "S(2)", "S(4)", "S(8)", "S(16)", "S(64)",
                  "serial frac sim", "serial frac table", "lock wait %",
@@ -84,6 +81,5 @@ int main() {
          "its single-thread constants. The per-figure benches use the\n"
          "calibrated table; this bench demonstrates that those constants\n"
          "are reachable from a cycle-level substrate.\n";
-  bench::WriteSweepReport("ext_characterization", agg);
   return 0;
 }

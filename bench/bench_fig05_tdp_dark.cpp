@@ -19,14 +19,12 @@ int main() {
   std::vector<std::string> app_names;
   for (const apps::AppProfile& app : suite) app_names.push_back(app.name);
 
-  bench::SweepAgg agg;
   for (const double tdp : {220.0, 185.0}) {
     runtime::SweepSpec spec(tdp == 220.0 ? "fig05a" : "fig05b",
                             runtime::SweepKind::kEstimate);
     spec.Set("node", "16nm").Set("threads", 8.0).Set("tdp_w", tdp);
     spec.Axis("app", app_names).Axis("freq_ghz", freqs);
-    const std::vector<runtime::JobResult> results =
-        bench::RunSweep(spec, &agg);
+    const std::vector<runtime::JobResult> results = bench::RunSweep(spec);
 
     util::PrintBanner(std::cout,
                       (tdp == 220.0 ? "Figure 5-A: TDP = 220 W (optimistic)"
@@ -67,6 +65,5 @@ int main() {
   bench::PaperNote(
       "up to ~37% dark at 220 W (with violations), up to ~46% at 185 W (no "
       "violations), worst case swaptions.");
-  bench::WriteSweepReport("fig05", agg);
   return 0;
 }

@@ -20,14 +20,12 @@ int main() {
   std::vector<std::string> app_names;
   for (const apps::AppProfile& app : suite) app_names.push_back(app.name);
 
-  bench::SweepAgg agg;
   for (const std::string node : {"16nm", "11nm", "8nm"}) {
     runtime::SweepSpec spec("fig06_" + node, runtime::SweepKind::kEstimate);
     spec.Set("node", node).Set("threads", 8.0).Set("tdp_w", tdp);
     spec.Axis("app", app_names);
     spec.Axis("constraint", std::vector<std::string>{"tdp", "thermal"});
-    const std::vector<runtime::JobResult> results =
-        bench::RunSweep(spec, &agg);
+    const std::vector<runtime::JobResult> results = bench::RunSweep(spec);
 
     util::PrintBanner(
         std::cout,
@@ -67,6 +65,5 @@ int main() {
   bench::PaperNote(
       "~32% average reduction at 16 nm, ~40% at 11 nm, smaller at 8 nm (high "
       "power densities).");
-  bench::WriteSweepReport("fig06", agg);
   return 0;
 }

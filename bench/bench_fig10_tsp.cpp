@@ -31,8 +31,7 @@ int main() {
       spec.Point({{"node", cfg.node},
                   {"dark_pct", runtime::CanonicalNumber(cfg.dark_pct)},
                   {"app", app.name}});
-  bench::SweepAgg agg;
-  const std::vector<runtime::JobResult> results = bench::RunSweep(spec, &agg);
+  const std::vector<runtime::JobResult> results = bench::RunSweep(spec);
 
   util::PrintBanner(std::cout,
                     "Figure 10: system performance under TSP budgeting");
@@ -69,6 +68,5 @@ int main() {
   bench::PaperNote(
       "performance rises per node despite more dark silicon; 11 nm -> 8 nm "
       "increment ~60% on average.");
-  bench::WriteSweepReport("fig10", agg);
   return 0;
 }

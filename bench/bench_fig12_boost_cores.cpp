@@ -23,8 +23,7 @@ int main() {
   spec.Set("node", "16nm").Set("app", "x264").Set("threads", 8.0);
   spec.Set("power_cap_w", 500.0);
   spec.Axis("instances", instance_counts);
-  bench::SweepAgg agg;
-  const std::vector<runtime::JobResult> results = bench::RunSweep(spec, &agg);
+  const std::vector<runtime::JobResult> results = bench::RunSweep(spec);
 
   util::PrintBanner(std::cout,
                     "Figure 12: performance & power vs active cores "
@@ -48,6 +47,5 @@ int main() {
   bench::PaperNote(
       "boosting's performance edge is small while its peak power grows "
       "substantially with the core count.");
-  bench::WriteSweepReport("fig12", agg);
   return 0;
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "telemetry/scoped.hpp"
+#include "thermal/steady_state.hpp"
 #include "util/contracts.hpp"
 
 namespace ds::core {
@@ -60,6 +61,21 @@ bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
   return found;
 }
 
+BoostingSimulator::WarmStart BoostingSimulator::SteadyWarmStart(
+    std::size_t level) const {
+  const thermal::SteadyStateSolver& solver = platform_->solver();
+  const std::size_t n = platform_->num_cores();
+  std::vector<double> temps(n, platform_->thermal_model().ambient_c());
+  WarmStart warm;
+  for (int it = 0; it < 3; ++it) {
+    warm.powers = CorePowers(level, temps);
+    warm.state = solver.SolveFull(warm.powers);
+    temps.assign(warm.state.begin(),
+                 warm.state.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  return warm;
+}
+
 BoostTrace BoostingSimulator::RunPerInstanceBoosting(
     std::size_t start_level, double threshold_c, double power_cap_w,
     double duration_s, double control_period_s) const {
@@ -67,14 +83,7 @@ BoostTrace BoostingSimulator::RunPerInstanceBoosting(
   const power::PowerModel& pm = platform_->power_model();
   const std::size_t n = platform_->num_cores();
   thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  {
-    std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-    for (int it = 0; it < 3; ++it) {
-      std::vector<double> p = CorePowers(start_level, temps);
-      sim.InitializeSteadyState(p);
-      temps = sim.DieTemps();
-    }
-  }
+  sim.SetState(SteadyWarmStart(start_level).state);
 
   // Per-instance domain levels and core ownership.
   std::vector<std::size_t> domain_level(instances_, start_level);
@@ -157,15 +166,7 @@ BoostTrace BoostingSimulator::RunRaplBoosting(std::size_t start_level,
                                               double control_period_s) const {
   const power::DvfsLadder& ladder = platform_->ladder();
   thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  {
-    std::vector<double> temps(platform_->num_cores(),
-                              platform_->thermal_model().ambient_c());
-    for (int it = 0; it < 3; ++it) {
-      std::vector<double> p = CorePowers(start_level, temps);
-      sim.InitializeSteadyState(p);
-      temps = sim.DieTemps();
-    }
-  }
+  sim.SetState(SteadyWarmStart(start_level).state);
 
   std::size_t level = start_level;
   const double alpha = control_period_s / tau_s;  // EWMA coefficient
@@ -336,17 +337,8 @@ BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
                     duration_s);
   const power::DvfsLadder& ladder = platform_->ladder();
   thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  {
-    // Warm start from the steady state of the starting level.
-    std::vector<double> temps(platform_->num_cores(),
-                              platform_->thermal_model().ambient_c());
-    // A couple of fixed-point passes align initial leakage and state.
-    for (int it = 0; it < 3; ++it) {
-      std::vector<double> p = CorePowers(start_level, temps);
-      sim.InitializeSteadyState(p);
-      temps = sim.DieTemps();
-    }
-  }
+  // Warm start from the steady state of the starting level.
+  sim.SetState(SteadyWarmStart(start_level).state);
 
   std::size_t level = start_level;
   const std::size_t steps =

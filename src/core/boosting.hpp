@@ -119,6 +119,18 @@ class BoostingSimulator {
   /// Steady-state estimate at a ladder level (power, peak temperature).
   Estimate SteadyAtLevel(std::size_t level) const;
 
+  /// The warm start every closed loop begins from: three leakage /
+  /// temperature fixed-point passes at `level`, each the powers at the
+  /// current die temperatures (ambient first) and then their steady
+  /// state on the platform's factored solver, so it factors nothing.
+  /// The batched sweep runner starts its cohort members from the same
+  /// state and powers, so every lane starts bitwise alike.
+  struct WarmStart {
+    std::vector<double> state;   // all node temperatures [C]
+    std::vector<double> powers;  // per-core powers of the last pass [W]
+  };
+  WarmStart SteadyWarmStart(std::size_t level) const;
+
   std::size_t active_cores() const { return active_set_.size(); }
 
  private:

@@ -117,6 +117,7 @@ DtmResult DtmSimulator::Run(DtmPolicy policy, std::size_t start_level,
       const bool inject_solver_fault =
           injector != nullptr && injector->ConsumeSolverFault();
       if (sim.InitializeSteadyStateRobust(core_powers(start_level, temps),
+                                          platform_->solver(),
                                           inject_solver_fault)) {
         ++result.solver_retries;
         if (injector)

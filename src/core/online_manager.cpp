@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -103,7 +104,10 @@ OnlineResult OnlineManager::Run(std::size_t epochs) const {
   const auto& suite = apps::ParsecSuite();
 
   util::Rng rng(config_.seed);
-  std::poisson_distribution<int> arrivals(config_.arrival_rate);
+  // std::poisson_distribution requires a positive mean: at rate 0 no
+  // job arrives and no engine value is drawn.
+  std::optional<std::poisson_distribution<int>> arrivals;
+  if (config_.arrival_rate > 0.0) arrivals.emplace(config_.arrival_rate);
 
   std::vector<Job> running;
   std::deque<Job> queue;
@@ -175,7 +179,7 @@ OnlineResult OnlineManager::Run(std::size_t epochs) const {
     }
 
     // 1. Arrivals.
-    const int k = arrivals(rng.engine());
+    const int k = arrivals ? (*arrivals)(rng.engine()) : 0;
     for (int i = 0; i < k; ++i) {
       Job job;
       job.app = &suite[static_cast<std::size_t>(

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 #include "util/matrix.hpp"
 
@@ -42,12 +43,13 @@ SprintResult SprintAnalysis::Measure(const apps::AppProfile& app,
     return p;
   };
 
+  const thermal::SteadyStateSolver& solver = platform_->solver();
   thermal::TransientSimulator sim = platform_->MakeTransient(dt_s);
   // Background state: steady state at idle_fraction of the sprint power.
   {
     std::vector<double> temps(n, platform_->thermal_model().ambient_c());
     for (int it = 0; it < 3; ++it) {
-      sim.InitializeSteadyState(powers_at(temps, idle_fraction));
+      sim.InitializeSteadyState(powers_at(temps, idle_fraction), solver);
       temps = sim.DieTemps();
     }
   }
@@ -60,12 +62,8 @@ SprintResult SprintAnalysis::Measure(const apps::AppProfile& app,
   // Where would the sprint settle? (Fixed point at full power.)
   {
     std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-    thermal::TransientSimulator probe = platform_->MakeTransient(dt_s);
-    for (int it = 0; it < 5; ++it) {
-      probe.InitializeSteadyState(powers_at(temps, 1.0));
-      temps = probe.DieTemps();
-    }
-    result.steady_peak_c = probe.PeakDieTemp();
+    for (int it = 0; it < 5; ++it) temps = solver.Solve(powers_at(temps, 1.0));
+    result.steady_peak_c = util::MaxElement(temps);
   }
   if (result.steady_peak_c <= t_dtm) {
     result.unlimited = true;

@@ -1,5 +1,5 @@
 // Minimal blocking HTTP/1.1 client for loopback use: `darksilicon
-// submit`, bench_serve's concurrent clients, and the tests. One
+// submit`, the serve_mix benchmark's tenants, and the tests. One
 // request per connection (matching the server's Connection: close
 // policy); response bodies are decoded from chunked or Content-Length
 // framing and can be consumed incrementally via a sink callback --

@@ -7,7 +7,6 @@
 #include "apps/app_profile.hpp"
 #include "core/boosting.hpp"
 #include "thermal/batch_propagator.hpp"
-#include "thermal/steady_state.hpp"
 #include "core/estimator.hpp"
 #include "core/mapping.hpp"
 #include "core/tsp.hpp"
@@ -283,12 +282,11 @@ void RunBoostTransientCohort(
 
   std::vector<BtMember> members(k);
   std::unique_ptr<thermal::BatchStepPropagator> batch;
-  // Shared scratch, hoisted out of every loop: member phases fully
-  // overwrite them, so sharing is safe and the hot path stays
-  // allocation-light.
+  // Shared control-step scratch, hoisted out of the stepping loop:
+  // every member's control step fully overwrites it, so sharing is
+  // safe and the hot path stays allocation-light.
   std::vector<double> temps_buf;
   std::vector<double> powers_buf;
-  std::vector<double> state_buf;
 
   for (std::size_t i = 0; i < k; ++i) {
     BtMember& m = members[i];
@@ -309,20 +307,12 @@ void RunBoostTransientCohort(
         continue;
       }
       m.level = level;
-      // Leakage/temperature fixed point, as in BoostingSimulator's
-      // closed loops, on the model's cached solver (MakePlatform just
-      // installed it); SteadyStateSolver is deterministic, so every
-      // lane and cohort size starts from bitwise the same state.
-      const thermal::SteadyStateSolver& solver = m.platform->solver();
-      temps_buf.assign(m.platform->num_cores(),
-                       m.platform->thermal_model().ambient_c());
-      for (int it = 0; it < 3; ++it) {
-        powers_buf = m.sim->CorePowersAt(level, temps_buf);
-        state_buf = solver.SolveFull(powers_buf);
-        temps_buf.assign(state_buf.begin(),
-                         state_buf.begin() + static_cast<std::ptrdiff_t>(
-                                                 m.platform->num_cores()));
-      }
+      // BoostingSimulator's closed-loop warm start, on the model's
+      // cached solver (MakePlatform just installed it); the solver is
+      // deterministic, so every lane and cohort size starts from
+      // bitwise the same state.
+      const core::BoostingSimulator::WarmStart warm =
+          m.sim->SteadyWarmStart(level);
       if (batch == nullptr) {
         // One folded propagator serves the whole cohort; the shared
         // PropagatorSet memoizes it across cohorts and sweep threads.
@@ -331,9 +321,9 @@ void RunBoostTransientCohort(
                                            dt_s),
             k);
       }
-      m.handle = batch->AddMember(state_buf);
+      m.handle = batch->AddMember(warm.state);
       added = true;
-      batch->SetPowers(m.handle, powers_buf);
+      batch->SetPowers(m.handle, warm.powers);
       m.stepping = true;
     } catch (...) {
       // Evict a half-initialized member (e.g. SetPowers rejected a

@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -74,7 +75,10 @@ FullSimResult ChipSimulator::Run() const {
       config_.enable_boost ? ladder.size() - 1 : nominal;
 
   util::Rng rng(config_.seed);
-  std::poisson_distribution<int> arrivals(config_.arrival_rate);
+  // std::poisson_distribution requires a positive mean: at rate 0 no
+  // job arrives and no engine value is drawn.
+  std::optional<std::poisson_distribution<int>> arrivals;
+  if (config_.arrival_rate > 0.0) arrivals.emplace(config_.arrival_rate);
   thermal::TransientSimulator thermal =
       platform_->MakeTransient(config_.control_period_s);
   const noc::MeshNoc mesh(platform_->floorplan());
@@ -206,7 +210,7 @@ FullSimResult ChipSimulator::Run() const {
         }
       }
       // Arrivals (plus the initial burst at t = 0).
-      int k = arrivals(rng.engine());
+      int k = arrivals ? (*arrivals)(rng.engine()) : 0;
       if (step == 0) k += static_cast<int>(config_.initial_jobs);
       for (int i = 0; i < k; ++i) {
         Job job;
@@ -278,7 +282,8 @@ FullSimResult ChipSimulator::Run() const {
         }
         const bool inject_solver_fault =
             injector != nullptr && injector->ConsumeSolverFault();
-        if (thermal.InitializeSteadyStateRobust(p0, inject_solver_fault)) {
+        if (thermal.InitializeSteadyStateRobust(p0, platform_->solver(),
+                                                inject_solver_fault)) {
           ++result.solver_retries;
           if (injector)
             injector->log().Record(

@@ -15,7 +15,6 @@ void RunSummary::CollectTelemetry() {
   trace_events_dropped = TotalDroppedEvents();
   propagator_steps =
       Registry().GetCounter("thermal.kernel.propagator_steps").value();
-  lu_kernel_steps = Registry().GetCounter("thermal.kernel.lu_steps").value();
   hold_steps = Registry().GetCounter("thermal.kernel.hold_steps").value();
   batch_gemm_steps = Registry().GetCounter("thermal.batch.gemm_steps").value();
   batch_gemv_steps = Registry().GetCounter("thermal.batch.gemv_steps").value();
@@ -50,7 +49,6 @@ void RunSummary::Print(std::ostream& os) const {
   if (cores_failed > 0) line("cores failed", cores_failed);
   if (lu_solves > 0) line("LU solves", lu_solves);
   if (propagator_steps > 0) line("propagator steps", propagator_steps);
-  if (lu_kernel_steps > 0) line("LU-kernel steps", lu_kernel_steps);
   if (hold_steps > 0) line("power-hold steps", hold_steps);
   if (batch_gemm_steps > 0) line("batch GEMM steps", batch_gemm_steps);
   if (batch_gemv_steps > 0) line("batch GEMV steps", batch_gemv_steps);

@@ -40,12 +40,10 @@ struct RunSummary {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_events_dropped = 0;
 
-  // Thermal step-kernel lanes (thermal.kernel.* counters): how many
-  // transient steps ran on the folded dense propagator, how many on the
-  // reference LU triangular solve, and how many were covered by k-step
-  // power-hold applications.
+  // Thermal stepping (thermal.kernel.* counters): how many transient
+  // steps ran on the folded dense propagator, and how many were covered
+  // by k-step power-hold applications.
   std::uint64_t propagator_steps = 0;
-  std::uint64_t lu_kernel_steps = 0;
   std::uint64_t hold_steps = 0;
 
   // Panel passes (thermal.batch.* counters) split by width (GEMM-shaped

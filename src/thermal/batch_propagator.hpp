@@ -3,9 +3,9 @@
 //
 // One-column stepping is memory-bound: every step streams the ~n^2
 // M_state operator from cache/memory to produce one n-vector. A sweep
-// runs hundreds of jobs over the SAME operator (BENCH_sweep.json shows
-// 86-99% ModelCache hit rates), so a worker holding k ready jobs can
-// pack their state vectors into a column-major n x k panel
+// runs hundreds of jobs over the SAME operator (the paper sweeps hit
+// the ModelCache 86-99% of the time), so a worker holding k ready jobs
+// can pack their state vectors into a column-major n x k panel
 // (util/panel.hpp) and advance all of them with one operator pass --
 // the interval-batched stepping idiom CoMeT uses to keep full-system
 // thermal simulation tractable. Each operator row is then reused k

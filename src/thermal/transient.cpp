@@ -7,6 +7,7 @@
 #include "telemetry/scoped.hpp"
 #include "thermal/steady_state.hpp"
 #include "util/contracts.hpp"
+#include "util/lu.hpp"
 
 namespace ds::thermal {
 namespace {
@@ -20,46 +21,20 @@ bool AllFinite(std::span<const double> v) {
 }  // namespace
 
 TransientSimulator::TransientSimulator(
-    const RcModel& model, double dt_s, StepKernel kernel,
+    const RcModel& model, double dt_s, StepKernel /*kernel*/,
     const std::shared_ptr<const PropagatorSet>& shared)
-    : model_(&model), dt_(dt_s), kernel_(kernel) {
+    : model_(&model), dt_(dt_s) {
   DS_REQUIRE(dt_s > 0.0 && std::isfinite(dt_s),
              "TransientSimulator: step dt " << dt_s << " s must be positive");
-  const std::size_t n = model.num_nodes();
-  const std::vector<double> ambient(n, model.ambient_c());
-  if (kernel_ == StepKernel::kAuto) {
-    panel_.emplace(shared != nullptr
-                       ? shared->For(model, dt_s)
-                       : std::make_shared<const StepPropagator>(model, dt_s),
-                   /*k_max=*/1);
-    panel_->AddMember(ambient);
-    return;
-  }
-  util::Matrix system = model.conductance();
-  for (std::size_t i = 0; i < n; ++i)
-    system(i, i) += model.capacitance()[i] / dt_s;
-  if (!AllFinite(system.data()))
-    throw util::SolverError(
-        "TransientSimulator: non-finite system matrix (C/dt overflow)");
-  lu_ = std::make_unique<util::LuFactorization>(system);
-  state_ = ambient;
-  rhs_.assign(n, 0.0);
-  amb_rhs_.assign(n, 0.0);
-  const auto& amb_g = model.ambient_conductance();
-  for (std::size_t i = 0; i < n; ++i)
-    amb_rhs_[i] = amb_g[i] * model.ambient_c();
-}
-
-std::span<const double> TransientSimulator::state() const {
-  if (panel_) return panel_->MemberState(0);
-  return state_;
+  panel_.emplace(shared != nullptr
+                     ? shared->For(model, dt_s)
+                     : std::make_shared<const StepPropagator>(model, dt_s),
+                 /*k_max=*/1);
+  panel_->AddMember(std::vector<double>(model.num_nodes(), model.ambient_c()));
 }
 
 void TransientSimulator::SetState(std::span<const double> state) {
-  if (panel_)
-    panel_->SetState(0, state);
-  else
-    state_.assign(state.begin(), state.end());
+  panel_->SetState(0, state);
   time_ = 0.0;
 }
 
@@ -68,19 +43,27 @@ void TransientSimulator::Reset() {
 }
 
 void TransientSimulator::InitializeSteadyState(
-    std::span<const double> core_powers) {
-  const SteadyStateSolver solver(*model_);
+    std::span<const double> core_powers, const SteadyStateSolver& solver) {
+  DS_REQUIRE(&solver.model() == model_,
+             "TransientSimulator: warm-start solver factors another model");
   SetState(solver.SolveFull(core_powers));
 }
 
+void TransientSimulator::InitializeSteadyState(
+    std::span<const double> core_powers) {
+  InitializeSteadyState(core_powers, SteadyStateSolver(*model_));
+}
+
 bool TransientSimulator::InitializeSteadyStateRobust(
-    std::span<const double> core_powers, bool inject_failure) {
+    std::span<const double> core_powers, const SteadyStateSolver& solver,
+    bool inject_failure) {
   DS_TELEM_SPAN("thermal", "warm_start", ds::telemetry::TraceLevel::kSpan);
+  DS_REQUIRE(&solver.model() == model_,
+             "TransientSimulator: warm-start solver factors another model");
   try {
     if (inject_failure)
       throw util::SolverError(
           "InitializeSteadyStateRobust: injected non-convergence");
-    const SteadyStateSolver solver(*model_);
     const std::vector<double> solution = solver.SolveFull(core_powers);
     if (!AllFinite(solution))
       throw util::SolverError(
@@ -117,33 +100,19 @@ void TransientSimulator::CheckPowers(std::span<const double> core_powers,
   DS_REQUIRE(AllFinite(core_powers), caller << ": non-finite power input");
 }
 
-void TransientSimulator::StepLu(std::span<const double> core_powers) {
-  const auto& cap = model_->capacitance();
-  for (std::size_t i = 0; i < rhs_.size(); ++i)
-    rhs_[i] = cap[i] / dt_ * state_[i] + amb_rhs_[i];
-  for (std::size_t i = 0; i < model_->num_cores(); ++i)
-    rhs_[model_->DieNode(i)] += core_powers[i];
-  lu_->Solve(rhs_, state_);  // permute + triangular sweeps
-}
-
 void TransientSimulator::Step(std::span<const double> core_powers) {
   CheckPowers(core_powers, "TransientSimulator::Step");
   DS_TELEM_COUNT("thermal.transient_steps", 1);
   DS_TELEM_TIMER("thermal.transient_step_us");
-  if (panel_) {
-    DS_TELEM_COUNT("thermal.kernel.propagator_steps", 1);
-    panel_->SetPowers(0, core_powers);
-    panel_->Step();
-  } else {
-    DS_TELEM_COUNT("thermal.kernel.lu_steps", 1);
-    StepLu(core_powers);
-  }
+  DS_TELEM_COUNT("thermal.kernel.propagator_steps", 1);
+  panel_->SetPowers(0, core_powers);
+  panel_->Step();
   time_ += dt_;
 }
 
 void TransientSimulator::StepN(std::span<const double> core_powers,
                                std::size_t n) {
-  if (panel_ && n > 1) {
+  if (n > 1) {
     StepHold(core_powers, n);
     return;
   }
@@ -154,11 +123,6 @@ void TransientSimulator::StepHold(std::span<const double> core_powers,
                                   std::size_t k) {
   DS_REQUIRE(k >= 1, "TransientSimulator::StepHold: k must be >= 1");
   CheckPowers(core_powers, "TransientSimulator::StepHold");
-  if (!panel_) {
-    // The LU lane has no hold operators: k explicit steps.
-    for (std::size_t i = 0; i < k; ++i) Step(core_powers);
-    return;
-  }
   DS_TELEM_COUNT("thermal.kernel.hold_calls", 1);
   DS_TELEM_COUNT("thermal.kernel.hold_steps", k);
   DS_TELEM_TIMER("thermal.transient_hold_us");

@@ -8,19 +8,14 @@
 // (~ms) differ by four orders of magnitude. The 1 ms default step
 // aligns with the paper's Turbo-Boost control period.
 //
-// Stepping (see StepKernel):
-//  - kAuto (default, the one production path): the step is folded once
-//    per (model, dt) into dense operators T' = M_state T + M_in P +
-//    c_amb (thermal/propagator.hpp), at construction, through the
-//    shared PropagatorSet when one is given. The simulator is then a
-//    one-member BatchStepPropagator: each step is one allocation-free
-//    k = 1 panel pass, the same kernel and fold order sweep cohorts
-//    use, so DTM, sprint, chip_sim and Fig. 11 trajectories are bitwise
-//    the ones a sweep row would compute. Constant-power segments can
-//    advance k steps in one application via StepHold.
-//  - kLu (reference lane): the system matrix is factored once and each
-//    step is a permuted triangular solve into a reused buffer. It
-//    exists for the equivalence tests and as the bench baseline.
+// Stepping: the step is folded once per (model, dt) into dense
+// operators T' = M_state T + M_in P + c_amb (thermal/propagator.hpp),
+// at construction, through the shared PropagatorSet when one is given.
+// The simulator is then a one-member BatchStepPropagator: each step is
+// one allocation-free k = 1 panel pass, the same kernel and fold order
+// sweep cohorts use, so DTM, sprint, chip_sim and Fig. 11 trajectories
+// are bitwise the ones a sweep row would compute. Constant-power
+// segments can advance k steps in one application via StepHold.
 #pragma once
 
 #include <memory>
@@ -31,26 +26,27 @@
 #include "thermal/batch_propagator.hpp"
 #include "thermal/propagator.hpp"
 #include "thermal/rc_model.hpp"
-#include "util/lu.hpp"
 
 namespace ds::thermal {
 
-/// Which stepping lane a TransientSimulator uses: kAuto steps the
-/// folded propagator on the panel kernel, kLu the reference LU solve.
-enum class StepKernel { kAuto, kLu };
+class SteadyStateSolver;
+
+/// The stepping lane of a TransientSimulator. There is one: the folded
+/// propagator on the panel kernel. perfbench/layers.cpp still names it.
+enum class StepKernel { kAuto };
 
 class TransientSimulator {
  public:
-  /// Unused by the simulator (kAuto folds at construction); kept
-  /// because perfbench/layers.cpp still names it.
+  /// Unused by the simulator (it folds at construction); kept because
+  /// perfbench/layers.cpp still names it.
   static constexpr std::size_t kAutoUpgradeSteps = 64;
 
-  /// Prepares stepping at fixed step `dt_s` (seconds): folds the dense
-  /// step propagator (kAuto), or factors (C/dt + G) (kLu).
-  /// `shared` (optional) memoizes propagators across simulators of the
-  /// same model -- pass arch::Platform::propagators() or the set from
-  /// runtime::ModelCache so sweeps fold each (model, dt) exactly once.
-  /// Throws std::invalid_argument for non-positive dt and
+  /// Prepares stepping at fixed step `dt_s` (seconds) by folding the
+  /// dense step propagator. `kernel` selects nothing (kAuto is the only
+  /// lane). `shared` (optional) memoizes propagators across simulators
+  /// of the same model -- pass arch::Platform::propagators() or the set
+  /// from runtime::ModelCache so sweeps fold each (model, dt) exactly
+  /// once. Throws std::invalid_argument for non-positive dt and
   /// util::SolverError when the step cannot be built (singular system,
   /// or a dt so small that C/dt overflows).
   explicit TransientSimulator(
@@ -61,8 +57,19 @@ class TransientSimulator {
   /// Resets all node temperatures to the ambient.
   void Reset();
 
+  /// Sets all node temperatures (size model().num_nodes()) and restarts
+  /// the clock at 0.
+  void SetState(std::span<const double> state);
+
   /// Sets the state to the steady-state solution of `core_powers`
-  /// (useful to skip the multi-second package warm-up).
+  /// (useful to skip the multi-second package warm-up). `solver` must
+  /// be factored from this simulator's model; closed loops pass
+  /// arch::Platform::solver(), so a warm start factors nothing.
+  void InitializeSteadyState(std::span<const double> core_powers,
+                             const SteadyStateSolver& solver);
+
+  /// As above on a private solver, which costs a full LU of the
+  /// conductance matrix per call.
   void InitializeSteadyState(std::span<const double> core_powers);
 
   /// Hardened warm start: like InitializeSteadyState, but validates
@@ -73,6 +80,7 @@ class TransientSimulator {
   /// that as a mitigation. The fault-free path is numerically identical
   /// to InitializeSteadyState.
   bool InitializeSteadyStateRobust(std::span<const double> core_powers,
+                                   const SteadyStateSolver& solver,
                                    bool inject_failure = false);
 
   /// Advances one step under the given per-core powers.
@@ -81,15 +89,14 @@ class TransientSimulator {
   /// solve and poison the whole state vector).
   void Step(std::span<const double> core_powers);
 
-  /// Advances `n` steps with constant powers. On kAuto this routes
-  /// through StepHold (one operator application instead of n); the
-  /// trajectory between the endpoints is not materialized.
+  /// Advances `n` steps with constant powers, through StepHold when
+  /// n > 1 (one operator application instead of n); the trajectory
+  /// between the endpoints is not materialized.
   void StepN(std::span<const double> core_powers, std::size_t n);
 
   /// Power-hold fast path: advances `k` steps under constant powers in
   /// one application of the memoized k-step hold operator. Matches k
-  /// explicit Step() calls to rounding error (tested at 1e-9 C). On
-  /// the kLu lane this degrades to k explicit steps.
+  /// explicit Step() calls to rounding error (tested at 1e-9 C).
   void StepHold(std::span<const double> core_powers, std::size_t k);
 
   /// Current die temperatures [C].
@@ -103,26 +110,20 @@ class TransientSimulator {
   const RcModel& model() const { return *model_; }
 
   /// All node temperatures [C]. The view is valid until the next call
-  /// that changes the state (Step, StepN, StepHold, Reset, Initialize*).
-  std::span<const double> state() const;
-
-  StepKernel kernel() const { return kernel_; }
+  /// that changes the state (Step, StepN, StepHold, Reset, SetState,
+  /// Initialize*).
+  std::span<const double> state() const { return panel_->MemberState(0); }
 
  private:
   void CheckPowers(std::span<const double> core_powers,
                    const char* caller) const;
-  void SetState(std::span<const double> state);
-  void StepLu(std::span<const double> core_powers);
 
   const RcModel* model_;
   double dt_;
   double time_ = 0.0;
-  StepKernel kernel_;
-  std::optional<BatchStepPropagator> panel_;  // kAuto: member 0
-  std::unique_ptr<util::LuFactorization> lu_;  // kLu: C/dt + G
-  std::vector<double> state_;    // kLu: all node temperatures
-  std::vector<double> rhs_;      // kLu: step RHS, reused
-  std::vector<double> amb_rhs_;  // kLu: g_amb * T_amb, precomputed
+  // Member 0 is the state. Optional only so that the constructor can
+  // check dt before the fold.
+  std::optional<BatchStepPropagator> panel_;
 };
 
 }  // namespace ds::thermal

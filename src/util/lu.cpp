@@ -71,26 +71,6 @@ std::vector<double> LuFactorization::Solve(std::span<const double> b) const {
   return x;
 }
 
-void LuFactorization::Solve(std::span<const double> b,
-                            std::span<double> x) const {
-  DS_REQUIRE(b.size() == n_ && x.size() == n_,
-             "LuFactorization::Solve: rhs size " << b.size() << ", out size "
-                                                 << x.size() << " != " << n_);
-  DS_REQUIRE(b.data() != x.data(),
-             "LuFactorization::Solve: rhs and output must not alias");
-  for (std::size_t i = 0; i < n_; ++i) x[i] = b[perm_[i]];
-  SolveInPlaceNoPermute(x);
-}
-
-void LuFactorization::SolveInPlace(std::span<double> x) const {
-  DS_REQUIRE(x.size() == n_, "LuFactorization::SolveInPlace: size "
-                                 << x.size() << " != " << n_);
-  std::vector<double> tmp(n_);
-  for (std::size_t i = 0; i < n_; ++i) tmp[i] = x[perm_[i]];
-  for (std::size_t i = 0; i < n_; ++i) x[i] = tmp[i];
-  SolveInPlaceNoPermute(x);
-}
-
 void LuFactorization::SolveInPlaceNoPermute(std::span<double> x) const {
   DS_TELEM_COUNT("lu.solves", 1);
   // Forward substitution with unit-diagonal L.

@@ -43,15 +43,6 @@ class LuFactorization {
   /// Solves A x = b for x. Requires b.size() == n().
   std::vector<double> Solve(std::span<const double> b) const;
 
-  /// Allocation-free solve into caller storage: x = A^-1 b. Requires
-  /// b.size() == x.size() == n(); b and x must not alias (the pivot
-  /// permutation is applied while loading b into x). This is the
-  /// hot-path overload used by the legacy transient stepping kernel.
-  void Solve(std::span<const double> b, std::span<double> x) const;
-
-  /// In-place solve: overwrites `x` (initially the RHS) with the solution.
-  void SolveInPlace(std::span<double> x) const;
-
   /// Blocked multi-RHS solve: treats each column of `b` (n x k) as an
   /// independent right-hand side and overwrites it with the solution,
   /// A B <- B. One cache-blocked pass does the permutation and both

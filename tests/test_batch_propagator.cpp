@@ -81,7 +81,6 @@ TEST(BatchStepPropagator, MatchesPerJobSimulatorBitwise) {
   BatchStepPropagator batch(prop, k);
   for (std::size_t j = 0; j < k; ++j) {
     refs.emplace_back(model, 1e-3);
-    ASSERT_EQ(refs.back().kernel(), StepKernel::kAuto);
     refs.back().InitializeSteadyState(PowerPattern(model.num_cores(), j, 0));
     ASSERT_EQ(batch.AddMember(refs.back().state()), j);
   }

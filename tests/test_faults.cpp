@@ -140,7 +140,7 @@ TEST(SolverRetry, RobustSteadyInitMatchesPlainWhenHealthy) {
   thermal::TransientSimulator robust(Plat16().thermal_model(), 1e-3);
   std::vector<double> p(Plat16().num_cores(), 2.0);
   plain.InitializeSteadyState(p);
-  EXPECT_FALSE(robust.InitializeSteadyStateRobust(p));
+  EXPECT_FALSE(robust.InitializeSteadyStateRobust(p, Plat16().solver()));
   const std::vector<double> a = plain.DieTemps();
   const std::vector<double> b = robust.DieTemps();
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
@@ -151,7 +151,8 @@ TEST(SolverRetry, InjectedFailureTakesRetryPathWithCloseResult) {
   thermal::TransientSimulator retried(Plat16().thermal_model(), 1e-3);
   std::vector<double> p(Plat16().num_cores(), 2.0);
   plain.InitializeSteadyState(p);
-  EXPECT_TRUE(retried.InitializeSteadyStateRobust(p, /*inject_failure=*/true));
+  EXPECT_TRUE(retried.InitializeSteadyStateRobust(p, Plat16().solver(),
+                                                  /*inject_failure=*/true));
   const std::vector<double> a = plain.DieTemps();
   const std::vector<double> b = retried.DieTemps();
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-6);

@@ -148,17 +148,5 @@ TEST(Kernels, SolveManyRejectsWrongRowCount) {
   EXPECT_THROW(lu.SolveMany(&wrong), std::invalid_argument);
 }
 
-TEST(Kernels, AllocationFreeSolveMatchesAllocating) {
-  Fill fill(77);
-  const std::size_t n = 19;
-  const Matrix a = DominantMatrix(n, &fill);
-  const LuFactorization lu(a);
-  const std::vector<double> b = fill.MakeVec(n);
-  std::vector<double> x(n, 0.0);
-  lu.Solve(b, x);
-  const std::vector<double> ref = lu.Solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(x[i], ref[i]);
-}
-
 }  // namespace
 }  // namespace ds::util

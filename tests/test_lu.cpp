@@ -62,23 +62,6 @@ TEST(Lu, DeterminantOfDiagonal) {
   EXPECT_NEAR(LuFactorization(a).Determinant(), -24.0, 1e-12);
 }
 
-TEST(Lu, SolveInPlaceMatchesSolve) {
-  Matrix a(3, 3);
-  a(0, 0) = 4;
-  a(0, 1) = 1;
-  a(1, 0) = 1;
-  a(1, 1) = 5;
-  a(1, 2) = 2;
-  a(2, 1) = 2;
-  a(2, 2) = 6;
-  const LuFactorization lu(a);
-  const std::vector<double> b = {1.0, -2.0, 3.0};
-  const std::vector<double> x = lu.Solve(b);
-  std::vector<double> y = b;
-  lu.SolveInPlace(y);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(y[i], x[i], 1e-12);
-}
-
 /// Property sweep: random diagonally-dominant systems of growing size
 /// are solved to within residual tolerance.
 class LuRandomTest : public ::testing::TestWithParam<std::size_t> {};

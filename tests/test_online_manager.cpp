@@ -41,7 +41,7 @@ TEST(OnlineManager, ConservationOfJobs) {
 }
 
 TEST(OnlineManager, ThermalSafeNeverViolates) {
-  for (const double rate : {1.0, 3.0}) {
+  for (const double rate : {0.0, 1.0, 3.0}) {
     const OnlineManager m(Plat16(), AdmissionPolicy::kThermalSafe,
                           Config(rate));
     const OnlineResult r = m.Run(60);

@@ -1,8 +1,8 @@
 // Step propagator: the folded dense operators (stepped on the panel
-// kernel) must match the reference LU stepping lane to rounding error
-// (1e-9 C) across floorplan sizes, power patterns and hold lengths --
-// the two StepKernel lanes solve the same implicit-Euler update, so any
-// divergence is a correctness bug in one of them.
+// kernel) must match a reference LU stepper to rounding error (1e-9 C)
+// across floorplan sizes, power patterns and hold lengths -- both solve
+// the same implicit-Euler update, so any divergence is a correctness
+// bug in the fold.
 #include "thermal/propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -28,6 +28,47 @@ double MaxAbsDiff(std::span<const double> a, std::span<const double> b) {
   return worst;
 }
 
+/// Reference implicit-Euler stepper: factors C/dt + G once and solves
+/// (C/dt + G) T' = (C/dt) T + P + g_amb T_amb per step, the textbook
+/// update the folded propagator must reproduce.
+class LuStepper {
+ public:
+  LuStepper(const RcModel& model, double dt)
+      : model_(&model),
+        dt_(dt),
+        lu_(SystemMatrix(model, dt)),
+        state_(model.num_nodes(), model.ambient_c()) {}
+
+  void Step(std::span<const double> core_powers) {
+    const std::vector<double>& cap = model_->capacitance();
+    const std::vector<double>& amb_g = model_->ambient_conductance();
+    std::vector<double> rhs(state_.size());
+    for (std::size_t i = 0; i < rhs.size(); ++i)
+      rhs[i] = cap[i] / dt_ * state_[i] + amb_g[i] * model_->ambient_c();
+    for (std::size_t c = 0; c < core_powers.size(); ++c)
+      rhs[model_->DieNode(c)] += core_powers[c];
+    state_ = lu_.Solve(rhs);
+    time_ += dt_;
+  }
+
+  std::span<const double> state() const { return state_; }
+  double time() const { return time_; }
+
+ private:
+  static util::Matrix SystemMatrix(const RcModel& model, double dt) {
+    util::Matrix a = model.conductance();
+    for (std::size_t i = 0; i < model.num_nodes(); ++i)
+      a(i, i) += model.capacitance()[i] / dt;
+    return a;
+  }
+
+  const RcModel* model_;
+  double dt_;
+  util::LuFactorization lu_;
+  std::vector<double> state_;
+  double time_ = 0.0;
+};
+
 /// Deterministic per-core power pattern with spatial variation.
 std::vector<double> PowerPattern(std::size_t n, std::size_t phase) {
   std::vector<double> p(n);
@@ -40,9 +81,7 @@ TEST(StepPropagator, MatchesLuPathAcrossFloorplanSizes) {
   for (const std::size_t cores : {4u, 16u, 49u, 100u}) {
     const RcModel model(Floorplan::MakeGrid(cores, 5.1));
     TransientSimulator fast(model, 1e-3);
-    TransientSimulator legacy(model, 1e-3, StepKernel::kLu);
-    ASSERT_EQ(fast.kernel(), StepKernel::kAuto);
-    ASSERT_EQ(legacy.kernel(), StepKernel::kLu);
+    LuStepper legacy(model, 1e-3);
     // Time-varying powers so the input operator is exercised too.
     for (std::size_t s = 0; s < 50; ++s) {
       const std::vector<double> p = PowerPattern(cores, s / 10);
@@ -77,9 +116,9 @@ TEST(StepPropagator, HoldMatchesLegacyLuSteps) {
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 2);
   TransientSimulator fast(model, 1e-3);
-  TransientSimulator legacy(model, 1e-3, StepKernel::kLu);
+  LuStepper legacy(model, 1e-3);
   fast.StepHold(p, 200);
-  legacy.StepHold(p, 200);  // degrades to 200 explicit steps
+  for (int s = 0; s < 200; ++s) legacy.Step(p);
   EXPECT_LT(MaxAbsDiff(fast.state(), legacy.state()), 1e-9);
 }
 
@@ -116,13 +155,11 @@ TEST(StepPropagator, RejectsNonPositiveDt) {
 
 TEST(StepPropagator, OverflowingStepScaleThrowsSolverError) {
   // A positive, finite dt whose C/dt overflows must fail the build with
-  // a SolverError on both lanes instead of stepping the state to NaN.
+  // a SolverError instead of stepping the state to NaN.
   const RcModel model(Floorplan::MakeGrid(4, 5.1));
   const double dt = 1e-320;
   EXPECT_THROW(StepPropagator(model, dt), util::SolverError);
   EXPECT_THROW(TransientSimulator(model, dt), util::SolverError);
-  EXPECT_THROW(TransientSimulator(model, dt, StepKernel::kLu),
-               util::SolverError);
   const PropagatorSet set;
   EXPECT_THROW((void)set.For(model, dt), util::SolverError);
   EXPECT_EQ(set.size(), 0u);

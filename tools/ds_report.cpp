@@ -3,8 +3,6 @@
 // Usage:
 //   ds_report <events.jsonl> [--summary summary.json] [--json out.json]
 //   ds_report --serve <events.jsonl>
-//   ds_report --bench BENCH_sweep.json --baseline base.json
-//             [--max-regress pct] [--json out.json]
 //
 // Events mode joins the JSON-lines job-lifecycle stream a sweep wrote
 // with `--events-out` into per-run analytics: job latency percentiles
@@ -22,15 +20,6 @@
 // sweep: queue-wait vs run latency, admission rejects by reason, and
 // cancellations -- who got capacity, who got turned away, and how long
 // everyone waited.
-//
-// Bench mode diffs two BENCH_*.json perf reports (same schema as
-// bench_common.hpp WriteSweepReport) and exits nonzero when any
-// bench's throughput regressed by more than --max-regress percent
-// (default 10). Each entry gates on its native throughput metric:
-// rows_per_s when present (BENCH_serve.json), jobs_per_s otherwise.
-// BENCH_thermal.json's flat batch_{scalar_,}us_k<k> pairs get their
-// own section: batched lockstep member-steps/s vs k independent
-// simulators, with the per-k speedup gated against the baseline.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -55,9 +44,7 @@ int Usage() {
   std::cerr
       << "usage: ds_report <events.jsonl> [--summary summary.json]\n"
          "                 [--json out.json]\n"
-         "       ds_report --serve <events.jsonl>\n"
-         "       ds_report --bench BENCH.json --baseline base.json\n"
-         "                 [--max-regress pct] [--json out.json]\n";
+         "       ds_report --serve <events.jsonl>\n";
   return 2;
 }
 
@@ -519,119 +506,10 @@ int RunServeMode(const ds::util::ArgParser& args) {
   return 0;
 }
 
-int RunBenchMode(const ds::util::ArgParser& args) {
-  const std::string bench_path = args.GetString("bench");
-  const std::string base_path = args.GetString("baseline");
-  const double max_regress = args.GetDouble("max-regress", 10.0);
-  std::string bench_text;
-  std::string base_text;
-  if (!ReadFile(bench_path, &bench_text)) {
-    std::cerr << "ds_report: cannot open " << bench_path << "\n";
-    return 1;
-  }
-  if (!ReadFile(base_path, &base_text)) {
-    std::cerr << "ds_report: cannot open " << base_path << "\n";
-    return 1;
-  }
-  JsonValue bench;
-  JsonValue base;
-  try {
-    bench = ParseJson(bench_text);
-    base = ParseJson(base_text);
-  } catch (const std::exception& e) {
-    std::cerr << "ds_report: " << e.what() << "\n";
-    return 1;
-  }
-  if (!bench.is_object() || !base.is_object()) {
-    std::cerr << "ds_report: bench reports must be JSON objects\n";
-    return 1;
-  }
-  ds::util::Table t({"bench", "metric", "base", "now", "delta %"});
-  int regressions = 0;
-  for (const auto& [name, entry] : bench.object) {
-    if (!entry.is_object()) continue;  // schema_version / git stamps
-    // Each entry gates on its native throughput metric: the serve
-    // bench reports rows_per_s, the sweep benches jobs_per_s.
-    const char* metric =
-        entry.Find("rows_per_s") != nullptr ? "rows_per_s" : "jobs_per_s";
-    const double now = NumField(entry, metric);
-    const JsonValue* base_entry = base.Find(name);
-    if (base_entry == nullptr || !base_entry->is_object()) {
-      t.Row().Cell(name).Cell(metric).Cell("(new)").Cell(now, 3).Cell("-");
-      continue;
-    }
-    const double was = NumField(*base_entry, metric);
-    const double delta_pct = was > 0.0 ? 100.0 * (now - was) / was : 0.0;
-    t.Row().Cell(name).Cell(metric).Cell(was, 3).Cell(now, 3).Cell(delta_pct,
-                                                                   2);
-    if (was > 0.0 && delta_pct < -max_regress) {
-      std::cerr << "ds_report: REGRESSION " << name << ": " << metric << " "
-                << was << " -> " << now << " (" << delta_pct << "% < -"
-                << max_regress << "%)\n";
-      ++regressions;
-    }
-  }
-  t.Print(std::cout);
-
-  // Flat thermal kernel reports (BENCH_thermal.json) carry the batched
-  // lockstep A/B section as per-k scalar/batched us-per-member-step
-  // pairs. Convert to member-steps/s, show batched vs the scalar
-  // baseline (k independent simulators), and gate the batched speedup
-  // against --baseline so a panel-kernel regression fails CI the same
-  // way a throughput regression in the sweep benches does.
-  ds::util::Table bt({"cohort", "scalar steps/s", "batched steps/s",
-                      "speedup", "base speedup"});
-  static const std::string kBatchUs = "batch_us_k";
-  bool have_batch = false;
-  for (const auto& [name, entry] : bench.object) {
-    if (!entry.is_number() || name.rfind(kBatchUs, 0) != 0) continue;
-    const std::string k = name.substr(kBatchUs.size());
-    const double batch_us = entry.number;
-    const double scalar_us = NumField(bench, "batch_scalar_us_k" + k);
-    if (batch_us <= 0.0 || scalar_us <= 0.0) continue;
-    have_batch = true;
-    const double speedup = scalar_us / batch_us;
-    double base_speedup = 0.0;
-    const JsonValue* base_us = base.Find(name);
-    if (base_us != nullptr && base_us->is_number() && base_us->number > 0.0) {
-      const double base_scalar = NumField(base, "batch_scalar_us_k" + k);
-      if (base_scalar > 0.0) base_speedup = base_scalar / base_us->number;
-    }
-    bt.Row()
-        .Cell("k=" + k)
-        .Cell(1e6 / scalar_us, 0)
-        .Cell(1e6 / batch_us, 0)
-        .Cell(speedup, 2);
-    if (base_speedup > 0.0) {
-      bt.Cell(base_speedup, 2);
-      const double delta_pct = 100.0 * (speedup - base_speedup) / base_speedup;
-      if (delta_pct < -max_regress) {
-        std::cerr << "ds_report: REGRESSION batch k=" << k << ": speedup "
-                  << base_speedup << "x -> " << speedup << "x (" << delta_pct
-                  << "% < -" << max_regress << "%)\n";
-        ++regressions;
-      }
-    } else {
-      bt.Cell("-");
-    }
-  }
-  if (have_batch) {
-    std::cout << "\nbatched lockstep stepping (vs independent simulators)\n";
-    bt.Print(std::cout);
-  }
-  return regressions > 0 ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const ds::util::ArgParser args(argc, argv);
-  const bool bench_mode = args.Has("bench");
-  if (bench_mode) {
-    if (args.GetString("bench").empty() || args.GetString("baseline").empty())
-      return Usage();
-    return RunBenchMode(args);
-  }
   if (args.Has("serve")) {
     if (args.GetString("serve").empty()) return Usage();
     return RunServeMode(args);
