@@ -92,13 +92,6 @@ std::size_t FaultLog::CountInjected(FaultKind kind) const {
   return count;
 }
 
-std::size_t FaultLog::CountMitigated(FaultKind kind) const {
-  std::size_t count = 0;
-  for (const FaultEvent& e : events_)
-    if (e.event == FaultEventKind::kMitigated && e.kind == kind) ++count;
-  return count;
-}
-
 bool FaultLog::EveryInjectionMitigated() const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& inj = events_[i];
@@ -168,8 +161,7 @@ FaultInjector::FaultInjector(const FaultConfig& config, std::size_t num_cores)
       num_cores_(num_cores),
       rng_(config.seed),
       sensors_(num_cores),
-      cores_(num_cores),
-      core_down_(num_cores, false) {
+      cores_(num_cores) {
   config_.Validate();
 }
 
@@ -196,7 +188,6 @@ void FaultInjector::BeginStep(double time_s, double dt_s) {
     CoreState& core = cores_[c];
     if (core.down && !core.permanent && time_s > core.down_until_s) {
       core.down = false;
-      core_down_[c] = false;
       --num_down_;
       newly_recovered_.push_back(c);
       log_.Record(time_s, FaultEventKind::kCleared, FaultKind::kCoreTransient,
@@ -243,7 +234,6 @@ void FaultInjector::BeginStep(double time_s, double dt_s) {
       if (Hit(config_.core_failstop_rate)) {
         core.down = true;
         core.permanent = true;
-        core_down_[c] = true;
         ++num_down_;
         newly_down_.push_back(c);
         log_.Record(time_s, FaultEventKind::kInjected,
@@ -253,7 +243,6 @@ void FaultInjector::BeginStep(double time_s, double dt_s) {
         core.down = true;
         core.permanent = false;
         core.down_until_s = time_s + config_.transient_duration_s;
-        core_down_[c] = true;
         ++num_down_;
         newly_down_.push_back(c);
         log_.Record(time_s, FaultEventKind::kInjected,

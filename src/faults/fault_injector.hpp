@@ -78,7 +78,6 @@ class FaultLog {
 
   std::size_t CountEvents(FaultEventKind event) const;
   std::size_t CountInjected(FaultKind kind) const;
-  std::size_t CountMitigated(FaultKind kind) const;
 
   /// True when every kInjected event is followed (at an equal or later
   /// timestamp) by a kMitigated event of the same kind and core.
@@ -162,9 +161,6 @@ class FaultInjector {
   /// mitigation log entries. Only meaningful after CorruptReading.
   bool ActiveSensorFault(std::size_t core, FaultKind* kind) const;
 
-  /// True while `core` is fail-stopped or in a transient outage.
-  bool CoreDown(std::size_t core) const { return core_down_[core]; }
-
   /// True when `core`'s current outage is permanent (fail-stop).
   bool CoreDownPermanent(std::size_t core) const {
     return cores_[core].down && cores_[core].permanent;
@@ -224,7 +220,6 @@ class FaultInjector {
 
   std::vector<SensorState> sensors_;
   std::vector<CoreState> cores_;
-  std::vector<bool> core_down_;  // dense flag mirror of cores_[i].down
   std::size_t num_down_ = 0;
   std::vector<std::size_t> newly_down_;
   std::vector<std::size_t> newly_recovered_;

@@ -25,7 +25,6 @@ SensorBus::SensorBus(std::size_t num_cores, double ambient_c,
       sensed_(num_cores, ambient_c),
       ewma_(num_cores, ambient_c),
       trend_(num_cores, 0.0),
-      bad_(num_cores, false),
       seeded_(num_cores, false) {
   policy_.Validate();
 }
@@ -50,7 +49,6 @@ const std::vector<double>& SensorBus::Sample(
                              reading.value_c < policy_.min_plausible_c ||
                              reading.value_c > policy_.max_plausible_c;
     const bool reject = !reading.fresh || implausible;
-    bad_[c] = reject;
     if (!reject) {
       // Accept, refresh the fallback estimator.
       if (!seeded_[c]) {

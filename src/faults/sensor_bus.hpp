@@ -71,9 +71,6 @@ class SensorBus {
   /// Readings rejected and substituted so far (all cores, all steps).
   std::size_t substitutions() const { return substitutions_; }
 
-  /// True when `core`'s reading was rejected in the last Sample().
-  bool ReadingWasBad(std::size_t core) const { return bad_[core]; }
-
   const SensorBusPolicy& policy() const { return policy_; }
 
  private:
@@ -82,7 +79,6 @@ class SensorBus {
   std::vector<double> sensed_;
   std::vector<double> ewma_;      // smoothed last-accepted readings
   std::vector<double> trend_;     // smoothed per-step delta
-  std::vector<bool> bad_;
   std::vector<bool> seeded_;      // ewma seeded with a real reading yet
   std::size_t bad_streak_ = 0;    // consecutive steps with >= 1 bad reading
   std::size_t clean_streak_ = 0;

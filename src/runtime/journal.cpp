@@ -93,15 +93,6 @@ JournalSync JournalSyncByName(const std::string& name) {
                               "' (none | batch | always)");
 }
 
-const char* JournalSyncName(JournalSync sync) {
-  switch (sync) {
-    case JournalSync::kNone: return "none";
-    case JournalSync::kBatch: return "batch";
-    case JournalSync::kAlways: return "always";
-  }
-  return "?";
-}
-
 JournalWriter::~JournalWriter() { Close(); }
 
 void JournalWriter::Open(const std::string& path, bool fresh,

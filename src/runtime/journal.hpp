@@ -57,7 +57,6 @@ enum class JournalSync { kNone, kBatch, kAlways };
 /// Parses "none" | "batch" | "always"; throws std::invalid_argument
 /// otherwise.
 JournalSync JournalSyncByName(const std::string& name);
-const char* JournalSyncName(JournalSync sync);
 
 /// Append-side of the journal: framed records with the configured
 /// durability. Not internally synchronized -- the engine serializes

@@ -40,14 +40,6 @@ double Metric(const JobResult& result, std::string_view name) {
                                  << "'");
 }
 
-bool HasMetric(const JobResult& result, std::string_view name) {
-  for (const auto& [key, value] : result.metrics) {
-    (void)value;
-    if (key == name) return true;
-  }
-  return false;
-}
-
 ResultSink::ResultSink(const SweepSpec& spec,
                        const std::vector<SweepJob>& jobs)
     : param_columns_(spec.ParamColumns()) {

@@ -66,7 +66,6 @@ class SinkWriteError : public std::runtime_error {
 /// Looks up a metric by name; contract-checked (a missing metric is a
 /// runner bug, not a data condition).
 double Metric(const JobResult& result, std::string_view name);
-bool HasMetric(const JobResult& result, std::string_view name);
 
 class ResultSink {
  public:
@@ -112,8 +111,6 @@ class ResultSink {
 
   /// Metric-column count implied by `first_ok` (see CsvHeaderLine).
   static std::size_t MetricColumns(const JobResult* first_ok);
-
-  std::size_t num_jobs() const { return jobs_.size(); }
 
   /// Rows between flush-and-check points in WriteCsv/WriteJsonRows.
   static constexpr std::size_t kFlushEveryRows = 64;

@@ -383,7 +383,7 @@ void RunScenario(SweepKind kind, const SweepJob& job, ModelCache& cache,
     case SweepKind::kBoostTransient: {
       // Scalar lane = a cohort of one through the same panel-kernel
       // code, which is what keeps sweep CSVs byte-identical at any
-      // --batch-max-k. A null detach predicate lets exceptions
+      // cohort width. A null detach predicate lets exceptions
       // propagate to the engine's retry classification.
       const SweepJob* jp = &job;
       JobResult* rp = result;

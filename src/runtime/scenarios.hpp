@@ -57,7 +57,7 @@ std::string BatchCohortKey(SweepKind kind, const SweepPoint& point);
 /// element summation order is independent of k, so a job's metrics are
 /// bitwise identical at any cohort size, including the k = 1 scalar
 /// lane -- this is what keeps sweep CSV output byte-identical at any
-/// --batch-max-k.
+/// cohort width (and so at any thread count).
 void RunBoostTransientCohort(
     std::span<const SweepJob* const> jobs, ModelCache& cache,
     std::span<JobResult* const> results,

@@ -29,6 +29,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Cap on a lockstep cohort's width (see chunk formation in Run());
+/// perfbench's thermal.batch.member_step_us_k16 times a member at it.
+constexpr std::size_t kMaxCohortWidth = 16;
+
 /// Internal signal: the watchdog cancelled this attempt (or a chaos
 /// delay was cut short by cancellation). Not a std::exception on
 /// purpose -- nothing but the attempt loop may catch it.
@@ -607,12 +611,12 @@ SweepOutcome SweepEngine::Run() {
   // Chunk formation: a chunk is one unit of worker work -- a singleton
   // job index (the scalar lane) or a lockstep cohort of batchable jobs
   // sharing a BatchCohortKey (one model content hash + dt, hence one
-  // shared folded propagator), up to --batch-max-k jobs; 1 pins the
-  // scalar lane.
+  // shared folded propagator). Each key's cohorts are
+  // min(kMaxCohortWidth, ceil(its pending jobs / threads)) wide, so its
+  // jobs spread over every worker; width 1 is the scalar lane.
   std::vector<std::vector<std::size_t>> chunks;
   chunks.reserve(pending.size());
-  const std::size_t max_k = std::max<std::size_t>(options_.batch_max_k, 1);
-  if (max_k < 2 || !KindIsBatchable(spec_.kind())) {
+  if (!KindIsBatchable(spec_.kind())) {
     for (const std::size_t i : pending) chunks.push_back({i});
   } else {
     const std::size_t max_attempts = 1 + options_.job_retries;
@@ -624,6 +628,12 @@ SweepOutcome SweepEngine::Run() {
       }
       return false;
     };
+    std::unordered_map<std::string, std::size_t> width;  // jobs, then width
+    for (const std::size_t i : pending)
+      if (!chaos_touched(i))
+        ++width[BatchCohortKey(spec_.kind(), jobs[i].point)];
+    for (auto& [key, w] : width)
+      w = std::min(kMaxCohortWidth, (w + threads - 1) / threads);
     std::unordered_map<std::string, std::size_t> open;  // key -> chunk
     for (const std::size_t i : pending) {
       if (chaos_touched(i)) {
@@ -632,7 +642,7 @@ SweepOutcome SweepEngine::Run() {
       }
       const std::string key = BatchCohortKey(spec_.kind(), jobs[i].point);
       const auto it = open.find(key);
-      if (it != open.end() && chunks[it->second].size() < max_k) {
+      if (it != open.end() && chunks[it->second].size() < width[key]) {
         chunks[it->second].push_back(i);
       } else {
         open[key] = chunks.size();  // start (or replace a full) chunk

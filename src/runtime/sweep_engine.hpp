@@ -56,7 +56,9 @@ class EventBus;
 namespace ds::runtime {
 
 struct SweepOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Worker threads; 0 = std::thread::hardware_concurrency(). Also sets
+  /// the lockstep cohort width of batchable kinds: min(16, ceil(pending
+  /// jobs of a BatchCohortKey / threads)). Rows never depend on it.
   std::size_t threads = 1;
 
   /// Journal path; empty disables checkpointing.
@@ -122,13 +124,6 @@ struct SweepOptions {
   /// per-attempt interruption); unclaimed jobs are recorded as pending
   /// ("not executed"). nullptr disables.
   std::shared_ptr<faults::CancelToken> cancel;
-
-  /// Largest lockstep cohort formed for batchable kinds (boost_transient):
-  /// ready jobs sharing a BatchCohortKey advance through one panel pass
-  /// per control period instead of k separate one-column passes. 1
-  /// disables batching. Results are byte-identical at any value (the
-  /// scalar lane runs the same k = 1 panel kernels).
-  std::size_t batch_max_k = 16;
 };
 
 /// Everything a sweep counted about itself: the one record every report

@@ -209,20 +209,6 @@ void MetricsRegistry::WriteCsv(const std::string& path) const {
                              path);
 }
 
-void MetricsRegistry::WriteJson(std::ostream& os) const {
-  os << "[";
-  bool first = true;
-  os.precision(17);
-  for (const MetricRow& row : Snapshot()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n  {\"name\":\"" << row.name << "\",\"kind\":\"" << row.kind
-       << "\",\"field\":\"" << row.field << "\",\"value\":" << row.value
-       << "}";
-  }
-  os << "\n]\n";
-}
-
 void MetricsRegistry::PrintNonZero(std::ostream& os) const {
   for (const MetricRow& row : Snapshot()) {
     // Exact zero means "never touched": the filter is intentional.

@@ -24,8 +24,6 @@ class WallTimer {
                                          start_)
         .count();
   }
-  double Millis() const { return 1e3 * Seconds(); }
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point start_;

@@ -131,9 +131,6 @@ class MetricsRegistry {
   /// std::runtime_error if the file cannot be written.
   void WriteCsv(const std::string& path) const;
 
-  /// Dumps the snapshot as a JSON array of row objects.
-  void WriteJson(std::ostream& os) const;
-
   /// Human-readable dump of every metric with a non-zero value (bench
   /// harness snapshot reporting).
   void PrintNonZero(std::ostream& os) const;

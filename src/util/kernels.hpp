@@ -4,9 +4,9 @@
 // one GEMM per composition. The product runs on the same fold as the
 // panel stepping kernels (util/panel.hpp, defined in
 // panel_kernels.cpp): every output element is one ascending fold over
-// the inner dimension, c(i, j) = fold_l a(i, l) * b(l, j), fused on
-// AVX2/FMA builds -- so its bits depend only on the operands, never
-// on tiling. Nothing here allocates.
+// the inner dimension, c(i, j) = fold_l a(i, l) * b(l, j), one fused
+// multiply-add per l on every build and CPU -- so its bits depend
+// only on the operands, never on tiling. Nothing here allocates.
 #pragma once
 
 #include "util/matrix.hpp"

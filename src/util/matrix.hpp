@@ -27,9 +27,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
-  /// Creates a square n x n matrix, zero-initialized.
-  static Matrix Square(std::size_t n) { return Matrix(n, n); }
-
   /// Creates an n x n identity matrix.
   static Matrix Identity(std::size_t n);
 

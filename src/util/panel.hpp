@@ -12,14 +12,16 @@
 // changing FP optimizations (see src/util/CMakeLists.txt), the
 // operator is supplied transposed, and every output element is one
 // sequential ascending-c fold: out(j,i) = fold_c of x(j,c) * at(c,i),
-// one fused multiply-add per c on AVX2/FMA builds (one rounded
-// multiply plus add otherwise). Because each element owns exactly one
-// dependency chain, its bits depend only on the contents of column j
-// and the operator -- never on k, on which other jobs share the panel,
-// on column position, or on the register-tile / unroll shape. This is
-// what lets the sweep engine promise byte-identical CSV output at any
-// --batch-max-k: the scalar lane, and every TransientSimulator, is
-// simply the k = 1 instance of the same code.
+// one fused multiply-add per c, on every build and CPU (the CPU picks
+// vector tiles or detail::PanelFoldPortable at run time; both are
+// correctly rounded, so both give the same bits). Because each element
+// owns exactly one dependency chain, its bits depend only on the
+// contents of column j and the operator -- never on k, on which other
+// jobs share the panel, on column position, or on the register-tile /
+// unroll shape. This is what lets the sweep engine promise
+// byte-identical CSV output at any cohort width and thread count: the
+// scalar lane, and every TransientSimulator, is simply the k = 1
+// instance of the same code.
 #pragma once
 
 #include <cstddef>
@@ -112,5 +114,15 @@ void PanelApplyAddT(const Matrix& at, const ColPanel& x, std::size_t k,
 /// out_j += v for the first k columns. Requires v.size() == out.n().
 void PanelAddBroadcast(std::span<const double> v, std::size_t k,
                        ColPanel* out);
+
+namespace detail {
+
+/// The fold of every kernel here as a plain std::fma loop over rows
+/// j < k of xs and os (seeded with 0 when `zero`): the fallback on CPUs
+/// without AVX2/FMA, and the tiles' bitwise reference. Shapes unchecked.
+void PanelFoldPortable(const Matrix& at, const Matrix& xs, std::size_t k,
+                       Matrix& os, bool zero);
+
+}  // namespace detail
 
 }  // namespace ds::util

@@ -10,20 +10,20 @@
 //
 //     out(j, i) = fold over c = 0..n-1 of  x(j, c) * at(c, i)
 //
-// accumulated strictly in ascending c. On AVX2/FMA builds every
-// accumulation is one fused multiply-add (vector lane, scalar std::fma
-// in the tails); on other builds it is one rounded multiply followed by
-// one add. Either way the per-element operation sequence depends ONLY
-// on n and the zero/accumulate mode -- never on k, on the register-tile
-// shape, or on the unroll factor -- because each element owns exactly
-// one sequential dependency chain. That is what lets the sweep engine
+// accumulated strictly in ascending c, one fused multiply-add per c.
+// The CPU picks how it runs, once per process: the AVX2/FMA register
+// tiles below (compiled for those instructions per function, so the
+// binary needs neither) where it has them, detail::PanelFoldPortable's
+// std::fma loop elsewhere. A fused multiply-add is correctly rounded,
+// so every build, compiler setting and CPU gets the same bits. The
+// per-element operation sequence depends ONLY on n and the
+// zero/accumulate mode -- never on k, on the register-tile shape, or
+// on the unroll factor -- because each element owns exactly one
+// sequential dependency chain. That is what lets the sweep engine
 // promise bitwise-identical trajectories at any cohort size: the k = 1
 // lane (the sweep's scalar jobs and every TransientSimulator) runs the
-// very same fold. (AVX2 and non-AVX2 binaries differ -- fused vs
-// unfused -- so the contract is per binary, which is what the CSV
-// byte-identity guarantee requires.) Read with x = A and at = B, the
-// same fold is the row-major product C = A B, which is how Gemm below
-// reuses it.
+// very same fold. Read with x = A and at = B, the same fold is the
+// row-major product C = A B, which is how Gemm below reuses it.
 //
 // Speed comes from structure instead of reassociation license: the
 // register tiles below keep 8 independent output accumulators live
@@ -36,7 +36,7 @@
 #include <cstddef>
 #include <span>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
@@ -48,7 +48,11 @@
 namespace ds::util {
 namespace {
 
-#if defined(__AVX2__) && defined(__FMA__)
+using PanelFold = void (*)(const Matrix& at, const Matrix& xs, std::size_t k,
+                           Matrix& os, bool zero);
+
+#if defined(__x86_64__)
+#define DS_AVX2_FMA __attribute__((target("avx2,fma")))
 
 /// 8-output x up-to-4-member register tile: one ymm accumulator pair
 /// per member stays live across the full ascending-c loop, each 64-byte
@@ -57,8 +61,9 @@ namespace {
 /// groups the operator is re-read from L1, not L2/memory. Per-element
 /// order: one fused multiply-add per c, ascending.
 template <int J>
-inline void Tile8(const double* at, std::size_t stride, std::size_t n,
-                  const double* const* xj, double* const* oj, bool zero) {
+DS_AVX2_FMA inline void Tile8(const double* at, std::size_t stride,
+                              std::size_t n, const double* const* xj,
+                              double* const* oj, bool zero) {
   static_assert(J >= 1 && J <= 4);
   __m256d lo[J], hi[J];
   for (int t = 0; t < J; ++t) {
@@ -81,8 +86,9 @@ inline void Tile8(const double* at, std::size_t stride, std::size_t n,
 }
 
 /// 4-output x 1-member tail tile. Same per-element fold.
-inline void Tile4x1(const double* at, std::size_t stride, std::size_t n,
-                    const double* x0, double* o0, bool zero) {
+DS_AVX2_FMA inline void Tile4x1(const double* at, std::size_t stride,
+                                std::size_t n, const double* x0, double* o0,
+                                bool zero) {
   __m256d a = zero ? _mm256_setzero_pd() : _mm256_loadu_pd(o0);
   for (std::size_t c = 0; c < n; ++c, at += stride)
     a = _mm256_fmadd_pd(_mm256_set1_pd(x0[c]), _mm256_loadu_pd(at), a);
@@ -90,11 +96,11 @@ inline void Tile4x1(const double* at, std::size_t stride, std::size_t n,
 }
 
 /// Scalar tail for the last m % 4 outputs of one member: up to three
-/// independent ascending-c std::fma chains (hardware-fused on this
-/// build), matching the vector lanes' per-element operation exactly.
-inline void TileScalar(const double* at, std::size_t stride, std::size_t n,
-                       const double* x0, double* o0, std::size_t w,
-                       bool zero) {
+/// independent ascending-c std::fma chains (one fma instruction each
+/// here), matching the vector lanes' per-element operation exactly.
+DS_AVX2_FMA inline void TileScalar(const double* at, std::size_t stride,
+                                   std::size_t n, const double* x0,
+                                   double* o0, std::size_t w, bool zero) {
   double s[3] = {0.0, 0.0, 0.0};
   if (!zero)
     for (std::size_t t = 0; t < w; ++t) s[t] = o0[t];
@@ -108,7 +114,8 @@ inline void TileScalar(const double* at, std::size_t stride, std::size_t n,
 /// One fused-multiply-add axpy pass: o[0..m) += b * a[0..m). Used by
 /// the streaming (small-k) form; same per-element operation as the
 /// register tiles.
-inline void AxpyRow(const double* a, double b, double* o, std::size_t m) {
+DS_AVX2_FMA inline void AxpyRow(const double* a, double b, double* o,
+                                std::size_t m) {
   const __m256d vb = _mm256_set1_pd(b);
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4)
@@ -122,9 +129,10 @@ inline void AxpyRow(const double* a, double b, double* o, std::size_t m) {
 /// fmas chained in ascending-c order per element -- bitwise identical
 /// to four AxpyRow passes, but the output row round-trips L1 once per
 /// quad instead of once per c.
-inline void Axpy4Row(const double* a0, const double* a1, const double* a2,
-                     const double* a3, double b0, double b1, double b2,
-                     double b3, double* o, std::size_t m) {
+DS_AVX2_FMA inline void Axpy4Row(const double* a0, const double* a1,
+                                 const double* a2, const double* a3,
+                                 double b0, double b1, double b2, double b3,
+                                 double* o, std::size_t m) {
   const __m256d v0 = _mm256_set1_pd(b0);
   const __m256d v1 = _mm256_set1_pd(b1);
   const __m256d v2 = _mm256_set1_pd(b2);
@@ -158,8 +166,8 @@ inline void Axpy4Row(const double* a0, const double* a1, const double* a2,
 ///             four, c innermost, so accumulators never round-trip
 ///             through memory and each L1-resident operator slab is
 ///             re-used by every member (compute-bound regime).
-void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
-                Matrix& os, bool zero) {
+DS_AVX2_FMA void PanelFmaTiles(const Matrix& at, const Matrix& xs,
+                               std::size_t k, Matrix& os, bool zero) {
   const std::size_t n = at.rows();
   const std::size_t m = at.cols();
   const double* base = at.row(0).data();
@@ -217,29 +225,22 @@ void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
                  m - i0, zero);
 }
 
-#else
+#endif
 
-/// Portable form: plain axpy sweep, ascending c, one rounded multiply
-/// plus one add per element per c. Not fused -- so non-AVX2 binaries
-/// produce (consistently) different bits than AVX2 ones; the
-/// determinism contract is per binary (see file comment).
-void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
-                Matrix& os, bool zero) {
-  const std::size_t n = at.rows();
-  const std::size_t m = at.cols();
-  for (std::size_t j = 0; j < k; ++j) {
-    const double* xj = xs.row(j).data();
-    double* oj = os.row(j).data();
-    if (zero) std::fill(oj, oj + m, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-      const double b = xj[c];
-      const double* ac = at.row(c).data();
-      for (std::size_t i = 0; i < m; ++i) oj[i] += b * ac[i];
-    }
-  }
+PanelFold SelectPanelFold() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return PanelFmaTiles;
+#endif
+  return detail::PanelFoldPortable;
 }
 
-#endif
+void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
+                Matrix& os, bool zero) {
+  static const PanelFold fold = SelectPanelFold();
+  fold(at, xs, k, os, zero);
+}
 
 void CheckPanelShapes(const Matrix& at, const ColPanel& x, std::size_t k,
                       ColPanel* out) {
@@ -263,6 +264,26 @@ void CheckGemmShapes(const Matrix& a, const Matrix& b, const Matrix* c) {
 }
 
 }  // namespace
+
+namespace detail {
+
+void PanelFoldPortable(const Matrix& at, const Matrix& xs, std::size_t k,
+                       Matrix& os, bool zero) {
+  const std::size_t n = at.rows();
+  const std::size_t m = at.cols();
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* xj = xs.row(j).data();
+    double* oj = os.row(j).data();
+    if (zero) std::fill(oj, oj + m, 0.0);
+    for (std::size_t c = 0; c < n; ++c) {
+      const double b = xj[c];
+      const double* ac = at.row(c).data();
+      for (std::size_t i = 0; i < m; ++i) oj[i] = std::fma(b, ac[i], oj[i]);
+    }
+  }
+}
+
+}  // namespace detail
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   CheckGemmShapes(a, b, c);

@@ -2,8 +2,9 @@
 // cohort must be BITWISE identical (a) to a per-job TransientSimulator
 // -- a one-member panel over the same fold -- and (b) at any cohort
 // size, which is the determinism contract behind the sweep engine's
-// byte-identical CSV promise at any --batch-max-k and behind DTM,
-// sprint, chip_sim and Fig. 11 sharing the sweep rows' fold order.
+// byte-identical CSV promise at any cohort width and thread count and
+// behind DTM, sprint, chip_sim and Fig. 11 sharing the sweep rows'
+// fold order.
 // Also covered: mid-cohort detachment (swap-last compaction leaves
 // survivors untouched bitwise), the memoized Hold(n) panel path,
 // mixed-dt cohorts off one PropagatorSet, and a TSan-hammered
@@ -314,16 +315,18 @@ TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
 namespace ds::runtime {
 namespace {
 
-/// The engine-level contract: CSV bytes do not depend on --batch-max-k
-/// or thread count, and cohorts actually form for batchable kinds.
-std::string SweepCsv(const char* spec_text, std::size_t batch_max_k,
-                     std::size_t threads, SweepStats* stats = nullptr) {
+/// The engine-level contract: CSV bytes do not depend on the cohort
+/// width or thread count, and cohorts actually form for batchable
+/// kinds. The width follows the thread count (min(16, ceil(pending
+/// jobs of a cohort key / threads))), so at least one thread per job
+/// runs every job on the k = 1 lane, and fewer threads form cohorts.
+std::string SweepCsv(const char* spec_text, std::size_t threads,
+                     SweepStats* stats = nullptr) {
   const SweepSpec spec = SweepSpec::FromJsonText(spec_text);
   ModelCache cache;
   SweepOptions opts;
   opts.threads = threads;
   opts.cache = &cache;
-  opts.batch_max_k = batch_max_k;
   const SweepOutcome out = SweepEngine(spec, opts).Run();
   if (stats != nullptr) *stats = out.stats;
   const ResultSink sink(spec, spec.Jobs());
@@ -339,26 +342,21 @@ constexpr const char* kBtUnitSpec = R"({
            "power_cap_w": [300, 500]}
 })";
 
-std::string BoostCsv(std::size_t batch_max_k, std::size_t threads,
-                     SweepStats* stats = nullptr) {
-  return SweepCsv(kBtUnitSpec, batch_max_k, threads, stats);
-}
-
 TEST(SweepEngineBatchTest, CsvBytesIndependentOfBatchKAndThreads) {
-  SweepStats scalar_stats, batched_stats;
-  const std::string scalar = BoostCsv(1, 1, &scalar_stats);
-  const std::string batched = BoostCsv(8, 1, &batched_stats);
-  EXPECT_EQ(scalar, batched);
-  EXPECT_EQ(scalar, BoostCsv(8, 4));
-  EXPECT_EQ(scalar, BoostCsv(3, 2));
-  // batch_max_k = 1 disables cohorts; 8 jobs sharing one cohort key
-  // must actually batch.
+  // 8 jobs share one cohort key: a thread per job leaves every cohort
+  // one wide, and 1, 2 and 3 threads form cohorts 8, 4 and 3 wide.
+  SweepStats scalar_stats;
+  const std::string scalar = SweepCsv(kBtUnitSpec, 8, &scalar_stats);
   EXPECT_EQ(scalar_stats.batch_cohorts, 0u);
-  EXPECT_GE(batched_stats.batch_cohorts, 1u);
-  EXPECT_GE(batched_stats.batch_cohort_members, 2u);
   EXPECT_EQ(scalar_stats.jobs_executed, 8u);
-  EXPECT_EQ(batched_stats.jobs_executed, 8u);
-  EXPECT_EQ(batched_stats.jobs_failed, 0u);
+  for (const std::size_t threads : {1, 2, 3}) {
+    SweepStats stats;
+    EXPECT_EQ(scalar, SweepCsv(kBtUnitSpec, threads, &stats)) << threads;
+    EXPECT_EQ(stats.batch_cohorts, threads);
+    EXPECT_EQ(stats.batch_cohort_members, 8u);
+    EXPECT_EQ(stats.jobs_executed, 8u);
+    EXPECT_EQ(stats.jobs_failed, 0u);
+  }
 }
 
 // duration_s is a sweepable axis and RunBoostTransientCohort derives
@@ -379,8 +377,8 @@ TEST(SweepEngineBatchTest, MixedDurationJobsNeverShareACohort) {
              "power_cap_w": [300, 500]}
   })";
   SweepStats scalar_stats, batched_stats;
-  const std::string scalar = SweepCsv(kMixedSpec, 1, 1, &scalar_stats);
-  const std::string batched = SweepCsv(kMixedSpec, 8, 2, &batched_stats);
+  const std::string scalar = SweepCsv(kMixedSpec, 8, &scalar_stats);
+  const std::string batched = SweepCsv(kMixedSpec, 2, &batched_stats);
   EXPECT_EQ(scalar, batched);
   EXPECT_EQ(scalar_stats.batch_cohorts, 0u);
   // Cohorts still form, but only within each duration group (4 jobs
@@ -388,6 +386,22 @@ TEST(SweepEngineBatchTest, MixedDurationJobsNeverShareACohort) {
   EXPECT_GE(batched_stats.batch_cohorts, 2u);
   EXPECT_EQ(batched_stats.jobs_executed, 8u);
   EXPECT_EQ(batched_stats.jobs_failed, 0u);
+}
+
+// No cohort passes 16 members: 20 jobs sharing one key on one thread
+// form a cohort of 16, then one of 4.
+TEST(SweepEngineBatchTest, CohortWidthCapsAtSixteen) {
+  constexpr const char* kWideSpec = R"({
+    "name": "bt_wide", "kind": "boost_transient", "seed": 3,
+    "base": {"node": "16nm", "duration_s": 0.01, "control_ms": 1.0},
+    "axes": {"app": ["x264", "ferret"], "instances": [1, 2],
+             "power_cap_w": [300, 350, 400, 450, 500]}
+  })";
+  SweepStats stats;
+  SweepCsv(kWideSpec, 1, &stats);
+  EXPECT_EQ(stats.batch_cohorts, 2u);
+  EXPECT_EQ(stats.batch_cohort_members, 20u);
+  EXPECT_EQ(stats.jobs_failed, 0u);
 }
 
 }  // namespace

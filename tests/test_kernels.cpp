@@ -1,16 +1,19 @@
 // GEMM and the multi-RHS LU solve, checked against naive reference
 // implementations on sizes chosen to exercise every blocking remainder:
 // the panel fold's 8-wide output tiles and 4-member groups (non-square
-// and odd shapes) and the 128-wide RHS panels of SolveMany.
+// and odd shapes) and the 128-wide RHS panels of SolveMany. The AVX2/FMA
+// tiles are also checked bit for bit against the portable fold.
 #include "util/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/lu.hpp"
 #include "util/matrix.hpp"
+#include "util/panel.hpp"
 
 namespace ds::util {
 namespace {
@@ -94,6 +97,89 @@ TEST(Kernels, GemmRejectsShapeMismatch) {
   Matrix wrong_inner(5, 2), wrong_out(3, 3), ok(3, 2);
   EXPECT_THROW(Gemm(a, wrong_inner, &ok), std::invalid_argument);
   EXPECT_THROW(Gemm(a, b, &wrong_out), std::invalid_argument);
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+/// The fold with a rounded product and a rounded sum per step; the
+/// volatile product keeps the compiler from fusing the two.
+Matrix UnfusedFold(const Matrix& at, const Matrix& xs, std::size_t k) {
+  Matrix os(k, at.cols());
+  for (std::size_t j = 0; j < k; ++j)
+    for (std::size_t i = 0; i < at.cols(); ++i) {
+      double s = 0.0;
+      for (std::size_t c = 0; c < at.rows(); ++c) {
+        const volatile double p = xs(j, c) * at(c, i);
+        s = s + p;
+      }
+      os(j, i) = s;
+    }
+  return os;
+}
+
+// The kernels run the AVX2/FMA tiles when the CPU has them, and
+// detail::PanelFoldPortable otherwise; both must give the same bits.
+// Operator rows n, outputs m and members k reach every tile path: the
+// k <= 2 streaming sweep with and without its four-c unroll, 4-member
+// groups with 2/1 remainders, 8-wide tiles with 4-wide and scalar
+// tails.
+TEST(Kernels, FmaTilesMatchPortableFoldBitwise) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool tiles =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  const bool tiles = false;
+#endif
+  if (!tiles) GTEST_SKIP() << "CPU lacks AVX2/FMA: the portable fold runs";
+  Fill fill(13);
+  bool unfused_differs = false;
+  for (const std::size_t n : {1, 5, 37})
+    for (const std::size_t m : {1, 3, 4, 7, 8, 12, 13, 41})
+      for (const std::size_t k : {1, 2, 3, 4, 5, 7, 8, 16}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n " << n << " m " << m << " k " << k);
+        const Matrix at = fill.Make(n, m);
+        ColPanel x(n, k);
+        x.storage() = fill.Make(k, n);
+        Matrix ref(k, m);
+        detail::PanelFoldPortable(at, x.storage(), k, ref, /*zero=*/true);
+
+        ColPanel out(m, k);
+        PanelApplyT(at, x, k, &out);
+        EXPECT_TRUE(SameBits(out.storage(), ref)) << "PanelApplyT";
+
+        ColPanel acc(m, k);
+        acc.storage() = fill.Make(k, m);
+        Matrix acc_ref = acc.storage();
+        detail::PanelFoldPortable(at, x.storage(), k, acc_ref,
+                                  /*zero=*/false);
+        PanelApplyAddT(at, x, k, &acc);
+        EXPECT_TRUE(SameBits(acc.storage(), acc_ref)) << "PanelApplyAddT";
+
+        // Gemm(a, b) is the fold with x = a and at = b.
+        const Matrix a = fill.Make(k, n);
+        const Matrix b = fill.Make(n, m);
+        Matrix gemm_ref(k, m);
+        detail::PanelFoldPortable(b, a, k, gemm_ref, /*zero=*/true);
+        Matrix c(k, m);
+        Gemm(a, b, &c);
+        EXPECT_TRUE(SameBits(c, gemm_ref)) << "Gemm";
+        Matrix c_add = fill.Make(k, m);
+        Matrix add_ref = c_add;
+        detail::PanelFoldPortable(b, a, k, add_ref, /*zero=*/false);
+        GemmAdd(a, b, &c_add);
+        EXPECT_TRUE(SameBits(c_add, add_ref)) << "GemmAdd";
+
+        if (!SameBits(UnfusedFold(at, x.storage(), k), ref))
+          unfused_differs = true;
+      }
+  // Otherwise the inputs could not tell a fused fold from an unfused one.
+  EXPECT_TRUE(unfused_differs);
 }
 
 /// A well-conditioned diagonally dominant test matrix (same structure

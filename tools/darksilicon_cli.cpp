@@ -86,7 +86,7 @@ int Usage() {
       "      [--checkpoint path] [--resume] [--metrics-out path]\n"
       "      [--stop-after n] [--job-deadline-ms t] [--job-retries n]\n"
       "      [--retry-backoff-ms t] [--journal-sync none|batch|always]\n"
-      "      [--cache-budget-mb m] [--batch-max-k k]\n"
+      "      [--cache-budget-mb m]\n"
       "      [--chaos-fail r] [--chaos-delay r] [--chaos-delay-ms t]\n"
       "      [--chaos-seed n] [--chaos-max-faulty-attempts k]\n"
       "      [--chaos-log-csv path]\n"
@@ -481,7 +481,6 @@ int CmdSweep(const util::ArgParser& args) {
       opts.chaos.fail_rate > 0.0 || opts.chaos.delay_rate > 0.0;
   if (args.Has("progress")) opts.progress_stream = &std::cerr;
   opts.heartbeat_ms = args.GetDouble("heartbeat-ms", 500.0);
-  opts.batch_max_k = static_cast<std::size_t>(args.GetInt("batch-max-k", 16));
 
   // The event bus outlives the ambient-pointer guard below
   // (declaration order), so the pointer is always uninstalled --
