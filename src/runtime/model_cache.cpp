@@ -96,15 +96,13 @@ std::shared_ptr<ModelCache::Entry> ModelCache::GetEntry(
     }
   }
   // Exactly one caller builds; concurrent requesters block here until
-  // the assets exist. The influence matrix is forced up front so the
-  // shared solver is strictly read-only afterwards.
+  // the assets exist.
   std::call_once(entry->once, [&entry, &fp, &pkg] {
     DS_TELEM_SPAN("runtime", "modelcache_build",
                   ds::telemetry::TraceLevel::kSpan);
     DS_TELEM_TIMER("modelcache.build_us");
     auto model = std::make_shared<const thermal::RcModel>(fp, pkg);
     auto solver = std::make_shared<const thermal::SteadyStateSolver>(*model);
-    solver->InfluenceMatrix();
     // The propagator set starts empty; each (model, dt) folds lazily on
     // the first transient simulator that needs it and is then shared by
     // every job in the sweep.
@@ -122,14 +120,12 @@ std::size_t ModelCache::EntryBytes(const Entry& entry) {
   const ThermalAssets& a = entry.assets;
   const std::size_t n = a.model->num_nodes();
   const std::size_t cores = a.model->num_cores();
-  // Dense G + C diagonal in the model, the solver's LU of the n x n
-  // system plus its forced cores x cores influence matrix, and the
-  // folded propagators. Element counts, not allocator overhead -- the
-  // budget is a working-set cap, not an allocator audit.
+  // Dense G + C diagonal in the model, the solver's n x cores response
+  // block B, and the folded propagators. Element counts, not allocator
+  // overhead -- the budget is a working-set cap, not an allocator audit.
   std::size_t doubles = n * n;           // conductance
   doubles += n;                          // capacitance diagonal
-  doubles += n * n + n;                  // LU factors + pivots/scratch
-  doubles += cores * cores;              // influence matrix
+  doubles += n * cores;                  // B (influence matrix = die rows)
   return sizeof(double) * doubles + a.propagators->ApproxBytes();
 }
 

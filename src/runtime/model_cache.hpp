@@ -1,9 +1,10 @@
 // Shared thermal-model cache for the sweep engine.
 //
 // Every scenario in a sweep that shares a floorplan/package also shares
-// the expensive thermal artifacts: the LU factorization of the RC
-// conductance matrix (O(n^3) in 4N+12 nodes), the die influence matrix
-// (N more solves) and the TSP-per-active-count tables derived from it.
+// the expensive thermal artifacts: the steady-state response block B
+// (an LU factorization of the RC conductance matrix, O(n^3) in 4N+12
+// nodes, then N unit-injection solves; B's die rows are the influence
+// matrix) and the TSP-per-active-count tables derived from it.
 // Pre-engine, each bench rebuilt those per Platform instance; the cache
 // memoizes them under a content key so that a 70-job sweep over one
 // floorplan performs exactly one factorization.
@@ -21,9 +22,9 @@
 // therefore deterministic for a fixed job set: misses == distinct keys.
 //
 // Byte budget: set_budget_bytes caps the approximate resident size
-// (dense G/C matrices, LU factorization, influence matrix, folded
-// propagators). After each request the least-recently-used entries are
-// evicted until the cache fits -- except the entry just requested,
+// (dense G/C matrices, the steady-state block B, folded propagators).
+// After each request the least-recently-used entries are evicted until
+// the cache fits -- except the entry just requested,
 // which is pinned so a single oversized floorplan still works (the
 // budget degrades to "keep one"). Eviction only drops the cache's
 // reference: in-flight users keep their shared_ptrs alive, so a tight
@@ -58,7 +59,7 @@ std::uint64_t ModelContentHash(const thermal::Floorplan& fp,
                                const thermal::PackageParams& pkg = {});
 
 /// The shareable per-floorplan thermal state: RC network, a solver
-/// factored from it (influence matrix forced, so sharing is read-only)
+/// built from it (immutable, so sharing is read-only)
 /// and the dt -> step-propagator cache tied to the model, so every
 /// sweep job at a given control period reuses one folded step operator
 /// (PropagatorSet is internally synchronized).

@@ -10,7 +10,6 @@ namespace ds::telemetry {
 
 void RunSummary::CollectTelemetry() {
   if (!Enabled()) return;
-  lu_solves = Registry().GetCounter("lu.solves").value();
   trace_events = TotalTraceEvents();
   trace_events_dropped = TotalDroppedEvents();
   propagator_steps =
@@ -47,7 +46,6 @@ void RunSummary::Print(std::ostream& os) const {
   if (sensor_fallbacks > 0) line("sensor fallbacks", sensor_fallbacks);
   if (solver_retries > 0) line("solver retries", solver_retries);
   if (cores_failed > 0) line("cores failed", cores_failed);
-  if (lu_solves > 0) line("LU solves", lu_solves);
   if (propagator_steps > 0) line("propagator steps", propagator_steps);
   if (hold_steps > 0) line("power-hold steps", hold_steps);
   if (batch_gemm_steps > 0) line("batch GEMM steps", batch_gemm_steps);

@@ -36,7 +36,6 @@ struct RunSummary {
   double safe_state_s = 0.0;
 
   // Registry-derived extras; zero when telemetry is disabled.
-  std::uint64_t lu_solves = 0;
   std::uint64_t trace_events = 0;
   std::uint64_t trace_events_dropped = 0;
 
@@ -53,7 +52,7 @@ struct RunSummary {
   std::uint64_t batch_gemv_steps = 0;
   std::uint64_t batch_hold_steps = 0;
 
-  /// Fills lu_solves/trace_events*/kernel-path counts from the live
+  /// Fills trace_events*/kernel-path counts from the live
   /// registry and trace collector (no-op values when telemetry is
   /// disabled).
   void CollectTelemetry();

@@ -1,5 +1,6 @@
 #include "thermal/steady_state.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,37 +9,68 @@
 
 namespace ds::thermal {
 
-SteadyStateSolver::SteadyStateSolver(const RcModel& model)
-    : model_(&model), lu_(model.conductance()) {}
+SteadyStateSolver::SteadyStateSolver(const RcModel& model) : model_(&model) {
+  const util::LuFactorization lu(model.conductance());
+  DS_TELEM_SPAN("thermal", "influence_matrix_build",
+                ds::telemetry::TraceLevel::kSpan);
+  DS_TELEM_TIMER("thermal.influence_build_us");
+  const std::size_t n = model.num_cores();
+  const std::size_t nodes = model.num_nodes();
+  // One blocked multi-RHS solve over all unit-injection columns at once,
+  // instead of num_cores permuted one-column solves.
+  util::Matrix b(nodes, n);
+  for (std::size_t j = 0; j < n; ++j) b(model.DieNode(j), j) = 1.0;
+  lu.SolveMany(&b);
+  influence_ = util::Matrix(n, n);
+  package_ = util::Matrix(nodes - n, n);
+  for (std::size_t node = 0; node < nodes; ++node) {
+    const std::span<const double> src = b.row(node);
+    const std::span<double> dst =
+        node < n ? influence_.row(node) : package_.row(node - n);
+    std::copy(src.begin(), src.end(), dst.begin());
+  }
+}
 
-std::vector<double> SteadyStateSolver::SolveFull(
-    std::span<const double> core_powers) const {
-  for (std::size_t i = 0; i < core_powers.size(); ++i)
+std::vector<double> SteadyStateSolver::SolveRows(
+    std::span<const double> core_powers, std::size_t rows) const {
+  const std::size_t n = model_->num_cores();
+  DS_REQUIRE(core_powers.size() == n,
+             "SteadyStateSolver: " << core_powers.size() << " powers for "
+                                   << n << " cores");
+  for (std::size_t i = 0; i < n; ++i)
     DS_REQUIRE(std::isfinite(core_powers[i]) && core_powers[i] >= 0.0,
                "SteadyStateSolver: power " << core_powers[i] << " W at core "
                                            << i
                                            << " (heat sources are >= 0)");
   DS_TELEM_COUNT("thermal.steady_solves", 1);
   DS_TELEM_TIMER("thermal.steady_solve_us");
-  std::vector<double> rhs = model_->ExpandPower(core_powers);
-  const auto& amb_g = model_->ambient_conductance();
   const double t_amb = model_->ambient_c();
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += amb_g[i] * t_amb;
-  std::vector<double> temps = lu_.Solve(rhs);
-  // Physical sanity of the solution: with non-negative sources, an
-  // M-matrix network can only sit at or above the ambient.
-  for (std::size_t i = 0; i < temps.size(); ++i)
+  std::vector<double> temps(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    // One accumulation per node in ascending core order, so Solve is
+    // bitwise SolveFull's die prefix whatever the caller's thread.
+    const std::span<const double> b =
+        i < n ? influence_.row(i) : package_.row(i - n);
+    double rise = 0.0;
+    for (std::size_t j = 0; j < n; ++j) rise += b[j] * core_powers[j];
+    temps[i] = t_amb + rise;
+    // Physical sanity of the solution: with non-negative sources, an
+    // M-matrix network can only sit at or above the ambient.
     DS_ENSURE(std::isfinite(temps[i]) && temps[i] >= t_amb - 1e-6,
               "SteadyStateSolver: node " << i << " solved to " << temps[i]
                                          << " C below ambient " << t_amb);
+  }
   return temps;
+}
+
+std::vector<double> SteadyStateSolver::SolveFull(
+    std::span<const double> core_powers) const {
+  return SolveRows(core_powers, model_->num_nodes());
 }
 
 std::vector<double> SteadyStateSolver::Solve(
     std::span<const double> core_powers) const {
-  std::vector<double> full = SolveFull(core_powers);
-  full.resize(model_->num_cores());  // die nodes are the first N
-  return full;
+  return SolveRows(core_powers, model_->num_cores());
 }
 
 std::vector<double> SteadyStateSolver::SolveWithFeedback(
@@ -63,28 +95,6 @@ std::vector<double> SteadyStateSolver::SolveWithFeedback(
   throw util::SolverError(
       "SteadyStateSolver::SolveWithFeedback: no convergence "
       "(thermal runaway?)");
-}
-
-const util::Matrix& SteadyStateSolver::InfluenceMatrix() const {
-  std::call_once(influence_once_, [this] {
-    DS_TELEM_SPAN("thermal", "influence_matrix_build",
-                  ds::telemetry::TraceLevel::kSpan);
-    DS_TELEM_TIMER("thermal.influence_build_us");
-    const std::size_t n = model_->num_cores();
-    auto a = std::make_unique<util::Matrix>(n, n);
-    // One blocked multi-RHS solve over all unit-injection columns at
-    // once, instead of num_cores permuted one-column solves each
-    // re-allocating a full-node RHS.
-    util::Matrix rhs(model_->num_nodes(), n);
-    for (std::size_t j = 0; j < n; ++j) rhs(model_->DieNode(j), j) = 1.0;
-    lu_.SolveMany(&rhs);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t node = model_->DieNode(i);
-      for (std::size_t j = 0; j < n; ++j) (*a)(i, j) = rhs(node, j);
-    }
-    influence_ = std::move(a);
-  });
-  return *influence_;
 }
 
 double SteadyStateSolver::PeakTempUniform(

@@ -1,35 +1,43 @@
 // Steady-state thermal solver and the die-to-die influence matrix.
 //
-// G T = P + g_amb T_amb, with G factored once per platform. Since the
-// network is linear, die temperatures decompose as
+// G T = P + g_amb T_amb. Heat enters only at die nodes and the network
+// is linear (G 1 = g_amb: conduction cancels on a uniform field), so
+// every node temperature decomposes as
 //
-//     T_die = T_amb * 1 + A * P_core
+//     T = T_amb * 1 + B * P_core,   B = G^-1 restricted to die columns
 //
-// where A[i][j] = dT_i/dP_j is the (symmetric, positive) influence
-// matrix. TSP and the mapping policies in src/core are built directly on
-// A: the peak temperature of any uniform-power mapping is a row-sum over
-// the active set, which turns thermal feasibility checks into O(N^2)
-// arithmetic instead of repeated linear solves.
+// The constructor factors G, solves all unit die injections in one
+// blocked multi-RHS pass to get B (num_nodes x num_cores) and keeps B;
+// the LU factorization is a construction temporary. Every solve after
+// that is a small dense product, not two triangular sweeps over all
+// nodes. B's die rows are the influence matrix A[i][j] = dT_i/dP_j
+// (symmetric, positive). TSP and the mapping policies in src/core are
+// built directly on A: the peak temperature of any uniform-power
+// mapping is a row-sum over the active set, which turns thermal
+// feasibility checks into O(N^2) arithmetic.
+//
+// The solver is immutable after construction, so one instance is
+// shared read-only across threads (runtime::ModelCache, Platform).
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "thermal/rc_model.hpp"
 #include "util/lu.hpp"
+#include "util/matrix.hpp"
 
 namespace ds::thermal {
 
 class SteadyStateSolver {
  public:
-  /// Factors the conductance matrix of `model` (O(n^3), done once).
-  /// The model must outlive the solver.
+  /// Factors the conductance matrix of `model` and builds B from it
+  /// (O(n^3), done once). The model must outlive the solver.
   explicit SteadyStateSolver(const RcModel& model);
 
-  /// Die temperatures [C] for the given per-core powers [W].
+  /// Die temperatures [C] for the given per-core powers [W]: bitwise
+  /// the first num_cores entries of SolveFull.
   std::vector<double> Solve(std::span<const double> core_powers) const;
 
   /// All node temperatures [C] (die, TIM, spreader, sink, borders).
@@ -46,10 +54,8 @@ class SteadyStateSolver {
       std::vector<double>* out_powers = nullptr, int max_iters = 50,
       double tol_c = 1e-4) const;
 
-  /// Lazily computed influence matrix A (num_cores x num_cores).
-  /// Thread-safe: concurrent first calls build A exactly once (solvers
-  /// are shared across sweep jobs by runtime::ModelCache).
-  const util::Matrix& InfluenceMatrix() const;
+  /// Influence matrix A (num_cores x num_cores): B's die rows.
+  const util::Matrix& InfluenceMatrix() const { return influence_; }
 
   /// Peak die temperature for a uniform power `p_each` on `active` cores
   /// (all other cores fully dark, zero power): closed form from A.
@@ -59,10 +65,13 @@ class SteadyStateSolver {
   const RcModel& model() const { return *model_; }
 
  private:
+  /// T_amb + B P over B's first `rows` rows (die nodes come first).
+  std::vector<double> SolveRows(std::span<const double> core_powers,
+                                std::size_t rows) const;
+
   const RcModel* model_;
-  util::LuFactorization lu_;
-  mutable std::once_flag influence_once_;
-  mutable std::unique_ptr<util::Matrix> influence_;  // lazy cache
+  util::Matrix influence_;  // B's die rows (A)
+  util::Matrix package_;    // B's other rows: TIM, spreader, sink, borders
 };
 
 }  // namespace ds::thermal

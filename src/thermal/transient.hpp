@@ -69,7 +69,7 @@ class TransientSimulator {
                              const SteadyStateSolver& solver);
 
   /// As above on a private solver, which costs a full LU of the
-  /// conductance matrix per call.
+  /// conductance matrix plus the solver's B build per call.
   void InitializeSteadyState(std::span<const double> core_powers);
 
   /// Hardened warm start: like InitializeSteadyState, but validates

@@ -1,8 +1,9 @@
 // LU factorization with partial pivoting.
 //
-// The thermal solvers factor their conductance matrix once per platform
-// and then reuse the factorization for many right-hand sides (one per
-// candidate mapping / transient step), so factor and solve are split.
+// The thermal models factor a matrix once and then solve many
+// right-hand sides against it (every unit die injection for the
+// steady-state response block, every column of the folded step
+// operator), so factor and solve are split.
 #pragma once
 
 #include <span>
@@ -50,8 +51,9 @@ class LuFactorization {
   /// loops run across the panel width, so they vectorize where the
   /// one-column solve is a serial dependency chain. Used to fold the
   /// implicit-Euler step operator into dense matrices
-  /// (thermal::StepPropagator) and to build the influence matrix in
-  /// one call instead of num_cores solves.
+  /// (thermal::StepPropagator) and to build the steady-state response
+  /// block B (thermal::SteadyStateSolver) in one call instead of
+  /// num_cores solves.
   void SolveMany(Matrix* b) const;
 
   std::size_t n() const { return n_; }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "arch/platform.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_model.hpp"
+#include "util/lu.hpp"
 #include "util/matrix.hpp"
 
 namespace ds::thermal {
@@ -68,6 +73,56 @@ TEST_F(SteadyStateTest, InfluenceMatrixMatchesDirectSolve) {
     const double predicted =
         model_.ambient_c() + 2.0 * a(i, 7) + 1.0 * a(i, 12);
     EXPECT_NEAR(t[i], predicted, 1e-9);
+  }
+}
+
+TEST_F(SteadyStateTest, SolveIsBitwiseTheDiePrefixOfSolveFull) {
+  std::vector<double> p(16, 0.0);
+  for (std::size_t i = 0; i < p.size(); ++i)
+    p[i] = 0.25 + 0.37 * static_cast<double>((i * 5) % 7);
+  const std::vector<double> die = solver_.Solve(p);
+  const std::vector<double> full = solver_.SolveFull(p);
+  ASSERT_EQ(die.size(), 16u);
+  ASSERT_EQ(full.size(), model_.num_nodes());
+  EXPECT_EQ(std::memcmp(die.data(), full.data(), die.size() * sizeof(double)),
+            0);
+}
+
+TEST_F(SteadyStateTest, InfluenceMatrixIsBitwiseTheUnitInjectionSolve) {
+  const std::size_t n = model_.num_cores();
+  util::Matrix rhs(model_.num_nodes(), n);
+  for (std::size_t j = 0; j < n; ++j) rhs(model_.DieNode(j), j) = 1.0;
+  util::LuFactorization(model_.conductance()).SolveMany(&rhs);
+  const util::Matrix& a = solver_.InfluenceMatrix();
+  ASSERT_EQ(a.rows(), n);
+  ASSERT_EQ(a.cols(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(std::memcmp(a.row(i).data(), rhs.row(model_.DieNode(i)).data(),
+                          n * sizeof(double)),
+              0)
+        << "row " << i;
+}
+
+// SolveFull against an independent LU solve of the full system
+// G T = P + g_amb T_amb on the paper's 16 nm and 11 nm chips.
+TEST(SteadyStatePaperPlatforms, SolveFullMatchesDirectLuSolve) {
+  for (const power::TechNode node :
+       {power::TechNode::N16, power::TechNode::N11}) {
+    const arch::Platform plat = arch::Platform::PaperPlatform(node);
+    const RcModel& model = plat.thermal_model();
+    std::vector<double> p(model.num_cores(), 0.0);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      p[i] = (i % 3 == 0) ? 0.0 : 0.4 + 0.3 * static_cast<double>(i % 11);
+    std::vector<double> rhs = model.ExpandPower(p);
+    for (std::size_t i = 0; i < rhs.size(); ++i)
+      rhs[i] += model.ambient_conductance()[i] * model.ambient_c();
+    const std::vector<double> direct =
+        util::LuFactorization(model.conductance()).Solve(rhs);
+    const std::vector<double> full = plat.solver().SolveFull(p);
+    ASSERT_EQ(full.size(), direct.size());
+    for (std::size_t i = 0; i < full.size(); ++i)
+      EXPECT_LE(std::abs(full[i] - direct[i]), 1e-12 * std::abs(direct[i]))
+          << "node " << i << " of " << full.size();
   }
 }
 

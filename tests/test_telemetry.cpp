@@ -290,7 +290,7 @@ TEST_F(TelemetryTest, FaultLogRecordsBridgeIntoTrace) {
 
 TEST_F(TelemetryTest, RunSummaryPrintsAndCollects) {
   SetEnabled(true);
-  Registry().GetCounter("lu.solves").Add(123);
+  Registry().GetCounter("thermal.kernel.propagator_steps").Add(123);
   RunSummary s;
   s.title = "unit test";
   s.sim_time_s = 1.0;
@@ -298,7 +298,7 @@ TEST_F(TelemetryTest, RunSummaryPrintsAndCollects) {
   s.jobs_arrived = 4;
   s.peak_temp_c = 61.5;
   s.CollectTelemetry();
-  EXPECT_EQ(s.lu_solves, 123u);
+  EXPECT_EQ(s.propagator_steps, 123u);
   std::ostringstream os;
   s.Print(os);
   const std::string text = os.str();
@@ -339,7 +339,7 @@ TEST_F(TelemetryTest, SimulationIsBitIdenticalWithTelemetryOn) {
     EXPECT_EQ(off.trace[i].peak_temp_c, on.trace[i].peak_temp_c);
   }
   EXPECT_GT(TotalTraceEvents(), 0u);
-  EXPECT_GT(Registry().GetCounter("lu.solves").value(), 0u);
+  EXPECT_GT(Registry().GetCounter("thermal.steady_solves").value(), 0u);
 }
 
 }  // namespace
