@@ -37,7 +37,7 @@ std::vector<std::size_t> SelectCores(const arch::Platform& platform,
                                      std::size_t count, MappingPolicy policy);
 
 /// Geometric-only variant (no influence matrix; kSpread falls back to
-/// kCheckerboard). Useful for tests that avoid the O(n^3) factorization.
+/// kCheckerboard). Useful for tests that avoid the factorization.
 std::vector<std::size_t> SelectCoresGeometric(const thermal::Floorplan& fp,
                                               std::size_t count,
                                               MappingPolicy policy);

@@ -120,13 +120,14 @@ std::size_t ModelCache::EntryBytes(const Entry& entry) {
   const ThermalAssets& a = entry.assets;
   const std::size_t n = a.model->num_nodes();
   const std::size_t cores = a.model->num_cores();
-  // Dense G + C diagonal in the model, the solver's n x cores response
-  // block B, and the folded propagators. Element counts, not allocator
-  // overhead -- the budget is a working-set cap, not an allocator audit.
-  std::size_t doubles = n * n;           // conductance
-  doubles += n;                          // capacitance diagonal
+  // The model's edge list and G and C diagonals, the solver's n x cores
+  // response block B, and the folded propagators. Element counts, not
+  // allocator overhead -- the budget is a working-set cap, not an
+  // allocator audit.
+  std::size_t doubles = 2 * n;           // G and C diagonals
   doubles += n * cores;                  // B (influence matrix = die rows)
-  return sizeof(double) * doubles + a.propagators->ApproxBytes();
+  return sizeof(thermal::RcModel::Edge) * a.model->edges().size() +
+         sizeof(double) * doubles + a.propagators->ApproxBytes();
 }
 
 void ModelCache::EnforceBudget(const Entry* pinned) {

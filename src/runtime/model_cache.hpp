@@ -2,9 +2,11 @@
 //
 // Every scenario in a sweep that shares a floorplan/package also shares
 // the expensive thermal artifacts: the steady-state response block B
-// (an LU factorization of the RC conductance matrix, O(n^3) in 4N+12
-// nodes, then N unit-injection solves; B's die rows are the influence
-// matrix) and the TSP-per-active-count tables derived from it.
+// (an LU factorization of the RC conductance matrix, its loops bounded
+// by the matrix's profile of about N + 4 columns either side of the
+// diagonal in 4N+12 nodes, then N unit-injection solves; B's die rows
+// are the influence matrix) and the TSP-per-active-count tables
+// derived from it.
 // Pre-engine, each bench rebuilt those per Platform instance; the cache
 // memoizes them under a content key so that a 70-job sweep over one
 // floorplan performs exactly one factorization.
@@ -22,7 +24,8 @@
 // therefore deterministic for a fixed job set: misses == distinct keys.
 //
 // Byte budget: set_budget_bytes caps the approximate resident size
-// (dense G/C matrices, the steady-state block B, folded propagators).
+// (the RC model's edge list and G/C diagonals, the steady-state block
+// B, folded propagators).
 // After each request the least-recently-used entries are evicted until
 // the cache fits -- except the entry just requested,
 // which is pinned so a single oversized floorplan still works (the

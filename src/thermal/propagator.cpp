@@ -56,7 +56,7 @@ StepPropagator::StepPropagator(const RcModel& model, double dt_s)
   // solve on the identity.
   util::Matrix system = model.conductance();
   for (std::size_t i = 0; i < n; ++i) system(i, i) += cap[i] / dt_s;
-  const util::LuFactorization lu(system);
+  const util::LuFactorization lu(std::move(system));
   util::Matrix inverse_t = util::Matrix::Identity(n);
   lu.SolveMany(&inverse_t);
   // Row c of A^-T is column c of A^-1.

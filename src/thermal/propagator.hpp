@@ -64,8 +64,9 @@ class StepPropagator {
   };
 
   /// Folds the implicit-Euler step of `model` at step `dt_s` into the
-  /// dense operator triple. O(n^3) build (factor + multi-RHS solve on
-  /// the identity), done once per (model, dt). Throws
+  /// dense operator triple. O(n^2 N) build (a factor within the
+  /// system's profile of about N columns, then a multi-RHS solve on the
+  /// identity), done once per (model, dt). Throws
   /// std::invalid_argument for non-positive dt and util::SolverError
   /// if the system matrix is singular or a folded operator is
   /// non-finite (e.g. a dt so small that C/dt overflows).

@@ -62,7 +62,7 @@ RcModel::RcModel(const Floorplan& fp, const PackageParams& pkg)
       pkg_(pkg),
       num_cores_(fp.num_cores()),
       num_nodes_(4 * fp.num_cores() + 12),
-      g_(num_nodes_, num_nodes_),
+      diag_(num_nodes_, 0.0),
       cap_(num_nodes_, 0.0),
       amb_g_(num_nodes_, 0.0) {
   DS_REQUIRE(num_cores_ > 0, "RcModel: floorplan has no cores");
@@ -78,10 +78,9 @@ void RcModel::AddConductance(std::size_t a, std::size_t b, double g) {
   DS_INVARIANT(g > 0.0 && std::isfinite(g),
                "RcModel::AddConductance: conductance " << g
                    << " W/K between nodes " << a << " and " << b);
-  g_(a, a) += g;
-  g_(b, b) += g;
-  g_(a, b) -= g;
-  g_(b, a) -= g;
+  diag_[a] += g;
+  diag_[b] += g;
+  edges_.push_back({a, b, g});
 }
 
 void RcModel::AddAmbient(std::size_t a, double g) {
@@ -90,38 +89,44 @@ void RcModel::AddAmbient(std::size_t a, double g) {
   DS_INVARIANT(g > 0.0 && std::isfinite(g),
                "RcModel::AddAmbient: conductance " << g << " W/K at node "
                                                    << a);
-  g_(a, a) += g;
+  diag_[a] += g;
   amb_g_[a] += g;
 }
 
+util::Matrix RcModel::conductance() const {
+  util::Matrix g(num_nodes_, num_nodes_);
+  for (const Edge& e : edges_) {
+    g(e.a, e.b) -= e.g;
+    g(e.b, e.a) -= e.g;
+  }
+  for (std::size_t i = 0; i < num_nodes_; ++i) g(i, i) = diag_[i];
+  return g;
+}
+
 void RcModel::CheckInvariants() const {
-  // A well-formed conductance matrix is symmetric with positive
-  // diagonal, non-positive off-diagonal, and each row's diagonal equals
-  // the sum of its off-diagonal magnitudes plus the ambient conductance
-  // (weak diagonal dominance, strict on rows touching the ambient) --
-  // the structure the LU solver and the TSP influence-matrix bounds
-  // rely on. One O(nodes^2) pass at construction.
+  // G is symmetric with non-positive off-diagonals by construction:
+  // each edge enters it as -g at (a, b) and (b, a), and AddConductance
+  // admits only g > 0. What is left to check is that each diagonal
+  // equals the sum of its edges plus its ambient conductance (weak
+  // diagonal dominance, strict on rows touching the ambient) -- the
+  // structure the LU solver and the TSP influence-matrix bounds rely
+  // on. One O(nodes + edges) pass at construction.
+  std::vector<double> off_sum(num_nodes_, 0.0);
+  for (const Edge& e : edges_) {
+    off_sum[e.a] += e.g;
+    off_sum[e.b] += e.g;
+  }
   for (std::size_t i = 0; i < num_nodes_; ++i) {
-    const double diag = g_(i, i);
+    const double diag = diag_[i];
     DS_INVARIANT(diag > 0.0 && std::isfinite(diag),
                  "RcModel: diagonal " << diag << " at node " << i);
-    double off_sum = 0.0;
-    for (std::size_t j = 0; j < num_nodes_; ++j) {
-      if (j == i) continue;
-      DS_INVARIANT(g_(i, j) <= 0.0, "RcModel: positive off-diagonal "
-                                        << g_(i, j) << " at (" << i << ","
-                                        << j << ")");
-      off_sum -= g_(i, j);
-    }
-    DS_INVARIANT(std::abs(diag - (off_sum + amb_g_[i])) <= 1e-9 * diag,
+    DS_INVARIANT(std::abs(diag - (off_sum[i] + amb_g_[i])) <= 1e-9 * diag,
                  "RcModel: row " << i << " not diagonally dominant: diag "
-                                 << diag << " vs off-diagonal " << off_sum
+                                 << diag << " vs off-diagonal " << off_sum[i]
                                  << " + ambient " << amb_g_[i]);
     DS_INVARIANT(cap_[i] > 0.0 && std::isfinite(cap_[i]),
                  "RcModel: capacitance " << cap_[i] << " at node " << i);
   }
-  DS_INVARIANT(g_.IsSymmetric(1e-9),
-               "RcModel: conductance matrix is not symmetric");
 }
 
 void RcModel::Build() {

@@ -57,8 +57,23 @@ struct PackageParams {
 
 /// The assembled network: conductance matrix G [W/K], per-node thermal
 /// capacitance [J/K], and per-node conductance to the ambient.
+///
+/// G is kept as what it is built from: the list of node-to-node
+/// conductances (each enters G as -g at (a, b) and (b, a), so G is
+/// symmetric by construction) and the diagonal, accumulated in build
+/// order. A 4N + 12 node network has about 11N edges, so the model
+/// holds O(N) numbers where a dense G would hold (4N + 12)^2 (17 MB at
+/// 361 cores). conductance() assembles the dense matrix for the
+/// callers that factor it.
 class RcModel {
  public:
+  /// One node-to-node conductance, in the order Build() added it.
+  struct Edge {
+    std::size_t a = 0;
+    std::size_t b = 0;
+    double g = 0.0;  // [W/K], positive
+  };
+
   /// Builds the network for `fp`. Throws std::invalid_argument if the die
   /// does not fit on the spreader or the spreader on the sink.
   explicit RcModel(const Floorplan& fp, const PackageParams& pkg = {});
@@ -87,7 +102,11 @@ class RcModel {
     return 4 * num_cores_ + 8 + side;
   }
 
-  const util::Matrix& conductance() const { return g_; }
+  /// Dense G, assembled from the edges and the diagonal on each call:
+  /// bitwise the matrix the build's AddConductance/AddAmbient sequence
+  /// accumulates. O(nodes^2); only factorizations need it.
+  util::Matrix conductance() const;
+  const std::vector<Edge>& edges() const { return edges_; }
   const std::vector<double>& capacitance() const { return cap_; }
   const std::vector<double>& ambient_conductance() const { return amb_g_; }
   double ambient_c() const { return pkg_.ambient_c; }
@@ -106,7 +125,8 @@ class RcModel {
   PackageParams pkg_;
   std::size_t num_cores_;
   std::size_t num_nodes_;
-  util::Matrix g_;
+  std::vector<Edge> edges_;
+  std::vector<double> diag_;  // G's diagonal
   std::vector<double> cap_;
   std::vector<double> amb_g_;
 };

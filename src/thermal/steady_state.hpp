@@ -33,7 +33,8 @@ namespace ds::thermal {
 class SteadyStateSolver {
  public:
   /// Factors the conductance matrix of `model` and builds B from it
-  /// (O(n^3), done once). The model must outlive the solver.
+  /// (O(n N^2) for n = 4N + 12 nodes: G's profile is about N wide;
+  /// done once). The model must outlive the solver.
   explicit SteadyStateSolver(const RcModel& model);
 
   /// Die temperatures [C] for the given per-core powers [W]: bitwise

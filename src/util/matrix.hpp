@@ -1,9 +1,11 @@
 // Dense row-major matrix and vector helpers used by the thermal RC solver.
 //
-// The thermal networks built in src/thermal are small (a few thousand
-// nodes), so a cache-friendly dense representation with an LU
-// factorization (see lu.hpp) is both simpler and faster than a sparse
-// iterative stack at this scale.
+// The thermal network itself is sparse and kept sparse:
+// thermal::RcModel stores its edge list. What is dense is what the
+// model build computes from it -- the steady-state block B, the
+// influence matrix and the folded step operators -- and the matrix it
+// hands the LU factorization, whose loops then stay inside that
+// matrix's profile (see lu.hpp).
 #pragma once
 
 #include <cstddef>

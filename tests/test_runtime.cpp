@@ -610,16 +610,17 @@ TEST(ModelCacheTest, BudgetEvictsLruAndStaysUnderCeiling) {
   const arch::Platform p16(power::TechNode::N16, 16);
   const arch::Platform p24(power::TechNode::N16, 24);
   const arch::Platform p32(power::TechNode::N16, 32);
-  // Entries take 56,544 / 114,912 / 193,760 bytes (16 / 24 / 32 cores):
-  // the first two fit together, the third forces both out.
-  cache.set_budget_bytes(256 * 1024);
-  EXPECT_EQ(cache.budget_bytes(), 256u * 1024u);
+  // Entries take 15,360 / 28,992 / 46,720 bytes (16 / 24 / 32 cores):
+  // the first two fit together (44,352), the third forces both out
+  // (28,992 + 46,720 = 75,712 > 65,536).
+  cache.set_budget_bytes(64 * 1024);
+  EXPECT_EQ(cache.budget_bytes(), 64u * 1024u);
   (void)cache.Get(p16.floorplan());
   (void)cache.Get(p24.floorplan());
   const ThermalAssets a32 = cache.Get(p32.floorplan());
   const ModelCache::Stats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
-  EXPECT_LE(stats.bytes, 256u * 1024u);
+  EXPECT_LE(stats.bytes, 64u * 1024u);
   EXPECT_GT(stats.bytes, 0u);
   // Eviction dropped the cache's reference only: our assets stay valid,
   // and re-requesting an evicted key is a rebuild (miss), not an error.
@@ -634,15 +635,15 @@ TEST(SweepEngineTest, CacheBudgetDoesNotChangeRows) {
   SweepOptions opts;
   opts.threads = 1;
   opts.cache = &cache;
-  // Tight enough that the 16- and 32-core entries (56,544 + 193,760
-  // bytes) cannot coexist, but large enough to hold either alone (so
-  // the ceiling is respected rather than degraded to
-  // keep-the-pinned-entry).
-  opts.cache_budget_mb = 0.2;
+  // Tight enough that the 16- and 32-core entries (15,360 + 46,720 =
+  // 62,080 bytes) cannot coexist, but large enough (52,428 bytes) to
+  // hold either alone (so the ceiling is respected rather than
+  // degraded to keep-the-pinned-entry).
+  opts.cache_budget_mb = 0.05;
   const SweepOutcome out = SweepEngine(SmokeSpec(), opts).Run();
   for (const JobResult& r : out.results) EXPECT_TRUE(r.ok) << r.error;
   EXPECT_GE(out.stats.cache_evictions, 1u);
-  EXPECT_LE(out.stats.cache_bytes, static_cast<std::uint64_t>(0.2 * 1024 *
+  EXPECT_LE(out.stats.cache_bytes, static_cast<std::uint64_t>(0.05 * 1024 *
                                                               1024));
   EXPECT_EQ(CsvOf(out), CleanCsv());
 }

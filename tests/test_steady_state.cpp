@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "arch/platform.hpp"
@@ -123,6 +124,40 @@ TEST(SteadyStatePaperPlatforms, SolveFullMatchesDirectLuSolve) {
     for (std::size_t i = 0; i < full.size(); ++i)
       EXPECT_LE(std::abs(full[i] - direct[i]), 1e-12 * std::abs(direct[i]))
           << "node " << i << " of " << full.size();
+  }
+}
+
+// The influence matrix's exact bytes on the paper's 16 and 11 nm
+// platforms (the chips chip_sim runs), hashed with 64-bit FNV-1a on a
+// little-endian IEEE-754 host. The constants were taken from the
+// dense-loop LU before the profile LU replaced it; the profile LU must
+// keep them.
+TEST(InfluenceMatrixPin, BytesMatchTheDenseLuBuild) {
+  const auto fnv1a = [](const util::Matrix& m) {
+    std::uint64_t h = 14695981039346656037ull;
+    const auto* p = reinterpret_cast<const unsigned char*>(m.data().data());
+    for (std::size_t i = 0; i < m.data().size() * sizeof(double); ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  const struct {
+    power::TechNode node;
+    std::uint64_t hash;
+  } pins[] = {{power::TechNode::N16, 0xd2ba62bf160cd89aull},
+              {power::TechNode::N11, 0x48b17e28abc55014ull}};
+  for (const auto& pin : pins) {
+    const arch::Platform plat = arch::Platform::PaperPlatform(pin.node);
+    const SteadyStateSolver solver(plat.thermal_model());
+    EXPECT_EQ(fnv1a(solver.InfluenceMatrix()), pin.hash)
+        << plat.num_cores()
+        << " cores: the influence matrix's last bits moved. chip_sim's "
+           "greedy placement (src/sim/chip_sim.cpp, `peak < best_peak`) "
+           "breaks ties between mirror-image cores on exactly these bits, "
+           "so a reordered elimination or a fused multiply-add here "
+           "changes which core it picks and fails perfbench's chip_sim "
+           "reference rows.";
   }
 }
 
