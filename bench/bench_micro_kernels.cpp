@@ -74,20 +74,6 @@ void BM_TransientStepPropagator(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientStepPropagator);
 
-// k-step power hold: one memoized operator application per iteration,
-// advancing range(0) simulated steps.
-void BM_StepHold(benchmark::State& state) {
-  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3);
-  const std::vector<double> p(100, 2.5);
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  sim.StepHold(p, k);  // build + memoize outside the timing
-  for (auto _ : state) {
-    sim.StepHold(p, k);
-    benchmark::DoNotOptimize(sim.PeakDieTemp());
-  }
-}
-BENCHMARK(BM_StepHold)->Arg(10)->Arg(100)->Arg(1000);
-
 // Influence-matrix construction cost: one blocked multi-RHS solve over
 // all unit-injection columns vs the per-column loop it replaced.
 void BM_InfluenceSolveMany(benchmark::State& state) {

@@ -143,12 +143,6 @@ void RunBoost(const SweepPoint& p, ModelCache& cache, JobResult* result) {
   };
 }
 
-/// boost_transient: settle steps at the base level between the steady
-/// warm start and the closed loop. Advanced through the batched hold
-/// operator (one application) on every lane, so the hold fast path is
-/// exercised in production, not just in benches.
-constexpr std::size_t kBtSettleSteps = 8;
-
 /// One boost_transient member's control state. The platform lives on
 /// the heap so the BoostingSimulator's internal pointer stays stable
 /// while the member vector grows.
@@ -336,10 +330,6 @@ void RunBoostTransientCohort(
   }
 
   if (batch == nullptr) return;  // every member skipped or detached
-
-  // Settle segment at the base level: one batched hold application
-  // bridges the steady warm start and the closed loop.
-  batch->StepN(kBtSettleSteps);
 
   for (std::size_t s = 0; s < steps; ++s) {
     std::size_t stepping = 0;

@@ -57,7 +57,10 @@ std::string BatchCohortKey(SweepKind kind, const SweepPoint& point);
 /// element summation order is independent of k, so a job's metrics are
 /// bitwise identical at any cohort size, including the k = 1 scalar
 /// lane -- this is what keeps sweep CSV output byte-identical at any
-/// cohort width (and so at any thread count).
+/// cohort width (and so at any thread count). Each member runs
+/// BoostingSimulator::RunBoosting's closed loop (Fig. 11) from the
+/// same warm start at MaxSafeConstantLevel, so its avg_gips, energy_j
+/// and max_power_w are bitwise RunBoosting's.
 void RunBoostTransientCohort(
     std::span<const SweepJob* const> jobs, ModelCache& cache,
     std::span<JobResult* const> results,

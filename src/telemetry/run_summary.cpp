@@ -14,10 +14,8 @@ void RunSummary::CollectTelemetry() {
   trace_events_dropped = TotalDroppedEvents();
   propagator_steps =
       Registry().GetCounter("thermal.kernel.propagator_steps").value();
-  hold_steps = Registry().GetCounter("thermal.kernel.hold_steps").value();
   batch_gemm_steps = Registry().GetCounter("thermal.batch.gemm_steps").value();
   batch_gemv_steps = Registry().GetCounter("thermal.batch.gemv_steps").value();
-  batch_hold_steps = Registry().GetCounter("thermal.batch.hold_steps").value();
 }
 
 void RunSummary::Print(std::ostream& os) const {
@@ -47,10 +45,8 @@ void RunSummary::Print(std::ostream& os) const {
   if (solver_retries > 0) line("solver retries", solver_retries);
   if (cores_failed > 0) line("cores failed", cores_failed);
   if (propagator_steps > 0) line("propagator steps", propagator_steps);
-  if (hold_steps > 0) line("power-hold steps", hold_steps);
   if (batch_gemm_steps > 0) line("batch GEMM steps", batch_gemm_steps);
   if (batch_gemv_steps > 0) line("batch GEMV steps", batch_gemv_steps);
-  if (batch_hold_steps > 0) line("batch hold steps", batch_hold_steps);
   if (trace_events > 0) line("trace events", trace_events);
   if (trace_events_dropped > 0)
     line("trace events dropped", trace_events_dropped);

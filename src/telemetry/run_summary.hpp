@@ -40,17 +40,14 @@ struct RunSummary {
   std::uint64_t trace_events_dropped = 0;
 
   // Thermal stepping (thermal.kernel.* counters): how many transient
-  // steps ran on the folded dense propagator, and how many were covered
-  // by k-step power-hold applications.
+  // steps ran on the folded dense propagator.
   std::uint64_t propagator_steps = 0;
-  std::uint64_t hold_steps = 0;
 
-  // Panel passes (thermal.batch.* counters) split by width (GEMM-shaped
-  // k >= 2 vs k = 1 passes -- every TransientSimulator step -- in
-  // member-steps), and panel power-hold member-steps.
+  // Panel passes (thermal.batch.* counters) split by width, in
+  // member-steps: GEMM-shaped k >= 2 vs k = 1 passes (every
+  // TransientSimulator step).
   std::uint64_t batch_gemm_steps = 0;
   std::uint64_t batch_gemv_steps = 0;
-  std::uint64_t batch_hold_steps = 0;
 
   /// Fills trace_events*/kernel-path counts from the live
   /// registry and trace collector (no-op values when telemetry is

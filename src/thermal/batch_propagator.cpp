@@ -126,34 +126,16 @@ void BatchStepPropagator::Step() {
     DS_TELEM_COUNT("thermal.batch.gemm_steps", k_);
   else
     DS_TELEM_COUNT("thermal.batch.gemv_steps", 1);
-  Apply(prop_->step());
-  ++steps_;
-}
-
-void BatchStepPropagator::StepN(std::size_t n) {
-  if (n == 0 || k_ == 0) {
-    steps_ += n;
-    return;
-  }
-  if (n == 1) {
-    Step();
-    return;
-  }
-  // The propagator's memoized Hold(n): one batched affine application
-  // advances every member n steps.
-  const std::shared_ptr<const StepPropagator::HoldOperator> hold =
-      prop_->Hold(n);
-  DS_TELEM_COUNT("thermal.batch.panel_steps", 1);
-  DS_TELEM_COUNT("thermal.batch.hold_steps", k_ * n);
-  Apply(*hold);
-  steps_ += n;
-}
-
-void BatchStepPropagator::Apply(const StepPropagator::HoldOperator& op) {
+  const StepPropagator::Operator& op = prop_->step();
   util::PanelApplyT(op.state_t, state_, k_, &scratch_);
   util::PanelApplyAddT(op.input_t, powers_, k_, &scratch_);
   util::PanelAddBroadcast(op.ambient.row(0), k_, &scratch_);
   state_.swap(scratch_);
+  ++steps_;
+}
+
+void BatchStepPropagator::StepN(std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) Step();
 }
 
 }  // namespace ds::thermal

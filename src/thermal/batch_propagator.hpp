@@ -20,8 +20,7 @@
 // Determinism: the panel kernels compute every output element with a
 // fixed, k-independent summation order in an IEEE (no fast-math) TU,
 // so a member's trajectory is bitwise identical at any cohort size --
-// including k = 1. Hold operators are the propagator's own memoized
-// Hold(k) matrices, shared by every instance over that propagator.
+// including k = 1.
 //
 // Membership is dynamic: a job that hits its deadline, gets cancelled,
 // or throws detaches mid-flight (swap-last column compaction, safe
@@ -41,9 +40,7 @@ namespace ds::thermal {
 
 /// Advances up to k_max state columns in lockstep over one shared
 /// StepPropagator. Not thread-safe: one instance per worker/cohort.
-/// Allocation-free after construction (panels are pre-sized to k_max;
-/// Hold(n) may allocate once per distinct n inside the shared
-/// propagator's memoized cache).
+/// Allocation-free after construction (panels are pre-sized to k_max).
 class BatchStepPropagator {
  public:
   /// An invalid member handle (returned by none; useful as a sentinel).
@@ -90,9 +87,7 @@ class BatchStepPropagator {
   /// M_state and M_in plus the ambient broadcast. No-op at k() == 0.
   void Step();
 
-  /// n lockstep steps under each member's current (constant) powers.
-  /// n > 1 routes through the propagator's memoized Hold(n) operator:
-  /// one batched application instead of n.
+  /// n calls of Step(). perfbench/layers.cpp still names it.
   void StepN(std::size_t n);
 
   /// Steps advanced so far (per member; members step in lockstep).
@@ -100,9 +95,6 @@ class BatchStepPropagator {
 
  private:
   std::size_t ColumnOf(std::size_t member) const;
-
-  /// One panel pass of `op` over the k active columns.
-  void Apply(const StepPropagator::HoldOperator& op);
 
   std::shared_ptr<const StepPropagator> prop_;
   std::size_t k_ = 0;

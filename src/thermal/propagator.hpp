@@ -23,27 +23,16 @@
 // TransientSimulator is a one-member panel, so every stepping caller
 // runs the same kernel on the same bits.
 //
-// Power-hold fast path: k identical steps compose into one affine
-// operator. Composition of two holds (A2,B2,c2) o (A1,B1,c1) is
-// (A2 A1, A2 B1 + B2, A2 c1 + c2); in the transposed layout that is
-// (A1^T A2^T, B1^T A2^T + B2^T, c1^T A2^T + c2^T), which multiplies the
-// same products in the same order. Hold(k) is built by binary powering
-// in O(log k) GEMMs and memoized; advancing a constant-power segment
-// then costs ONE application regardless of k.
-//
-// Sharing: a propagator is immutable after construction except for the
-// mutex-protected hold-operator cache, so one instance can serve every
-// simulator (and every sweep thread) that uses the same (model, dt) --
-// see PropagatorSet, which runtime::ModelCache and arch::Platform hand
-// out so a 70-job sweep folds the step operator exactly once.
+// Sharing: a propagator is immutable after construction, so one
+// instance can serve every simulator (and every sweep thread) that uses
+// the same (model, dt) -- see PropagatorSet, which runtime::ModelCache
+// and arch::Platform hand out so a 70-job sweep folds the step
+// operator exactly once.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <span>
-#include <vector>
 
 #include "thermal/rc_model.hpp"
 #include "util/lock_levels.hpp"
@@ -54,10 +43,9 @@ namespace ds::thermal {
 
 class StepPropagator {
  public:
-  /// One k-step affine operator T_{+k} = A T + B P + c, stored
+  /// The one-step affine operator T' = A T + B P + c, stored
   /// transposed for the panel kernels.
-  struct HoldOperator {
-    std::size_t k = 0;
+  struct Operator {
     util::Matrix state_t;  // n x n: A^T
     util::Matrix input_t;  // num_cores x n: B^T
     util::Matrix ambient;  // 1 x n: c^T
@@ -72,33 +60,21 @@ class StepPropagator {
   /// non-finite (e.g. a dt so small that C/dt overflows).
   StepPropagator(const RcModel& model, double dt_s);
 
-  /// The one-step operator (k = 1).
-  const HoldOperator& step() const { return *step_; }
+  const Operator& step() const { return step_; }
 
-  /// Memoized k-step hold operator (k >= 1), built by binary powering
-  /// over a cached chain of power-of-two holds. Thread-safe.
-  std::shared_ptr<const HoldOperator> Hold(std::size_t k) const;
-
-  /// Approximate resident bytes: the step operator plus the memoized
-  /// hold operators (deduplicated -- holds_ aliases pow2_ entries).
-  /// Thread-safe; used by ModelCache budget accounting.
+  /// Resident bytes of the step operator (ModelCache budget
+  /// accounting).
   std::size_t ApproxBytes() const;
 
   double dt() const { return dt_; }
-  std::size_t num_nodes() const { return step_->state_t.rows(); }
-  std::size_t num_cores() const { return step_->input_t.rows(); }
+  std::size_t num_nodes() const { return step_.state_t.rows(); }
+  std::size_t num_cores() const { return step_.input_t.rows(); }
   const RcModel& model() const { return *model_; }
 
  private:
   const RcModel* model_;
   double dt_;
-  std::shared_ptr<const HoldOperator> step_;
-
-  mutable Mutex hold_mu_{locks::kPropagator};
-  mutable std::vector<std::shared_ptr<const HoldOperator>> pow2_
-      DS_GUARDED_BY(hold_mu_);
-  mutable std::map<std::size_t, std::shared_ptr<const HoldOperator>> holds_
-      DS_GUARDED_BY(hold_mu_);
+  Operator step_;
 };
 
 /// Thread-safe dt -> StepPropagator cache for one RcModel. Platforms

@@ -92,16 +92,12 @@ bool TransientSimulator::InitializeSteadyStateRobust(
   }
 }
 
-void TransientSimulator::CheckPowers(std::span<const double> core_powers,
-                                     const char* caller) const {
-  DS_REQUIRE(core_powers.size() == model_->num_cores(),
-             caller << ": " << core_powers.size() << " powers for "
-                    << model_->num_cores() << " cores");
-  DS_REQUIRE(AllFinite(core_powers), caller << ": non-finite power input");
-}
-
 void TransientSimulator::Step(std::span<const double> core_powers) {
-  CheckPowers(core_powers, "TransientSimulator::Step");
+  DS_REQUIRE(core_powers.size() == model_->num_cores(),
+             "TransientSimulator::Step: " << core_powers.size()
+                 << " powers for " << model_->num_cores() << " cores");
+  DS_REQUIRE(AllFinite(core_powers),
+             "TransientSimulator::Step: non-finite power input");
   DS_TELEM_COUNT("thermal.transient_steps", 1);
   DS_TELEM_TIMER("thermal.transient_step_us");
   DS_TELEM_COUNT("thermal.kernel.propagator_steps", 1);
@@ -112,23 +108,7 @@ void TransientSimulator::Step(std::span<const double> core_powers) {
 
 void TransientSimulator::StepN(std::span<const double> core_powers,
                                std::size_t n) {
-  if (n > 1) {
-    StepHold(core_powers, n);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) Step(core_powers);
-}
-
-void TransientSimulator::StepHold(std::span<const double> core_powers,
-                                  std::size_t k) {
-  DS_REQUIRE(k >= 1, "TransientSimulator::StepHold: k must be >= 1");
-  CheckPowers(core_powers, "TransientSimulator::StepHold");
-  DS_TELEM_COUNT("thermal.kernel.hold_calls", 1);
-  DS_TELEM_COUNT("thermal.kernel.hold_steps", k);
-  DS_TELEM_TIMER("thermal.transient_hold_us");
-  panel_->SetPowers(0, core_powers);
-  panel_->StepN(k);
-  time_ += static_cast<double>(k) * dt_;
 }
 
 std::vector<double> TransientSimulator::DieTemps() const {

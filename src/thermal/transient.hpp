@@ -14,8 +14,7 @@
 // The simulator is then a one-member BatchStepPropagator: each step is
 // one allocation-free k = 1 panel pass, the same kernel and fold order
 // sweep cohorts use, so DTM, sprint, chip_sim and Fig. 11 trajectories
-// are bitwise the ones a sweep row would compute. Constant-power
-// segments can advance k steps in one application via StepHold.
+// are bitwise the ones a sweep row would compute.
 #pragma once
 
 #include <memory>
@@ -89,15 +88,8 @@ class TransientSimulator {
   /// solve and poison the whole state vector).
   void Step(std::span<const double> core_powers);
 
-  /// Advances `n` steps with constant powers, through StepHold when
-  /// n > 1 (one operator application instead of n); the trajectory
-  /// between the endpoints is not materialized.
+  /// Advances `n` steps with constant powers: n calls of Step.
   void StepN(std::span<const double> core_powers, std::size_t n);
-
-  /// Power-hold fast path: advances `k` steps under constant powers in
-  /// one application of the memoized k-step hold operator. Matches k
-  /// explicit Step() calls to rounding error (tested at 1e-9 C).
-  void StepHold(std::span<const double> core_powers, std::size_t k);
 
   /// Current die temperatures [C].
   std::vector<double> DieTemps() const;
@@ -110,14 +102,11 @@ class TransientSimulator {
   const RcModel& model() const { return *model_; }
 
   /// All node temperatures [C]. The view is valid until the next call
-  /// that changes the state (Step, StepN, StepHold, Reset, SetState,
+  /// that changes the state (Step, StepN, Reset, SetState,
   /// Initialize*).
   std::span<const double> state() const { return panel_->MemberState(0); }
 
  private:
-  void CheckPowers(std::span<const double> core_powers,
-                   const char* caller) const;
-
   const RcModel* model_;
   double dt_;
   double time_ = 0.0;

@@ -60,8 +60,7 @@ inline constexpr int kModelCache = 70;
 /// after ModelCache::mu_ is released, never beneath it.
 inline constexpr int kModelCacheEntry = 60;
 
-/// Thermal propagator memo tables (StepPropagator::hold_mu_,
-/// PropagatorSet::mu_).
+/// A model's dt -> step propagator map (PropagatorSet::mu_).
 inline constexpr int kPropagator = 60;
 
 /// Journal append serialization (SweepEngine's journal_mu).

@@ -1,5 +1,6 @@
-// Batched (panel) stepping kernels and the GEMM that composes hold
-// operators -- the one dense kernel of the thermal stepping path.
+// Batched (panel) stepping kernels and the GEMM that folds the step
+// propagator's ambient row -- the one dense kernel of the thermal
+// stepping path.
 //
 // This TU is compiled without fast-math even in Release (see
 // src/util/CMakeLists.txt): IEEE evaluation order here is a functional
@@ -288,11 +289,6 @@ void PanelFoldPortable(const Matrix& at, const Matrix& xs, std::size_t k,
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   CheckGemmShapes(a, b, c);
   PanelImplT(b, a, a.rows(), *c, /*zero=*/true);
-}
-
-void GemmAdd(const Matrix& a, const Matrix& b, Matrix* c) {
-  CheckGemmShapes(a, b, c);
-  PanelImplT(b, a, a.rows(), *c, /*zero=*/false);
 }
 
 void PanelApplyT(const Matrix& at, const ColPanel& x, std::size_t k,

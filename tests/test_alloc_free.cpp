@@ -1,7 +1,7 @@
 // Allocation-freedom regression test for the transient stepping hot
 // path. Built as its own binary (not part of ds_tests) because it
 // replaces the global allocator with a counting one: after warm-up,
-// Step / StepHold / StepN must perform ZERO heap allocations on the
+// Step and StepN must perform ZERO heap allocations on the
 // propagator's k = 1 panel lane. This is the enforcement for the
 // per-step-allocation fix -- a reintroduced std::vector in the step
 // path fails here, not in a profile much later.
@@ -67,22 +67,11 @@ TEST(AllocFree, PropagatorStepAllocatesNothing) {
             0u);
 }
 
-TEST(AllocFree, StepHoldAllocatesNothingOnceOperatorIsMemoized) {
-  const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3);
-  const std::vector<double> p(16, 2.0);
-  sim.StepHold(p, 50);  // builds + memoizes Hold(50)
-  EXPECT_EQ(AllocsDuring([&] {
-              for (int i = 0; i < 100; ++i) sim.StepHold(p, 50);
-            }),
-            0u);
-}
-
 TEST(AllocFree, StepNAllocatesNothingAfterWarmup) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   TransientSimulator sim(model, 1e-3);
   const std::vector<double> p(16, 2.0);
-  sim.StepN(p, 25);  // memoizes Hold(25)
+  sim.StepN(p, 25);  // warm-up
   EXPECT_EQ(AllocsDuring([&] {
               for (int i = 0; i < 100; ++i) sim.StepN(p, 25);
             }),

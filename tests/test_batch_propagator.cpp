@@ -6,20 +6,26 @@
 // behind DTM, sprint, chip_sim and Fig. 11 sharing the sweep rows'
 // fold order.
 // Also covered: mid-cohort detachment (swap-last compaction leaves
-// survivors untouched bitwise), the memoized Hold(n) panel path,
-// mixed-dt cohorts off one PropagatorSet, and a TSan-hammered
-// concurrent-cohort run over one shared propagator (memoized Hold(n)
-// builds race-free).
+// survivors untouched bitwise), mixed-dt cohorts off one PropagatorSet,
+// and a TSan-hammered concurrent-cohort run over one shared, immutable
+// propagator.
 #include "thermal/batch_propagator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <iomanip>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "apps/app_profile.hpp"
+#include "arch/platform.hpp"
+#include "core/boosting.hpp"
 #include "runtime/model_cache.hpp"
 #include "runtime/result_sink.hpp"
 #include "runtime/scenarios.hpp"
@@ -176,43 +182,6 @@ TEST(BatchStepPropagator, DetachLeavesSurvivorsBitwiseUnchanged) {
   EXPECT_THROW((void)detach.MemberState(1), ContractViolation);
 }
 
-TEST(BatchStepPropagator, StepNHoldPathMatchesExplicitSteps) {
-  const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  const auto prop = MakeProp(model, 1e-3);
-  for (const std::size_t n : {2u, 7u, 64u}) {
-    BatchStepPropagator held(prop, 3);
-    BatchStepPropagator stepped(prop, 3);
-    for (std::size_t j = 0; j < 3; ++j) {
-      held.AddMember(InitialState(model.num_nodes(), j));
-      stepped.AddMember(InitialState(model.num_nodes(), j));
-      const std::vector<double> p = PowerPattern(model.num_cores(), j, 0);
-      held.SetPowers(j, p);
-      stepped.SetPowers(j, p);
-    }
-    held.StepN(n);
-    for (std::size_t s = 0; s < n; ++s) stepped.Step();
-    std::vector<double> a(model.num_nodes()), b(model.num_nodes());
-    for (std::size_t j = 0; j < 3; ++j) {
-      held.CopyState(j, a);
-      stepped.CopyState(j, b);
-      EXPECT_LT(MaxAbsDiff(a, b), 1e-9) << "n=" << n << " member " << j;
-    }
-    EXPECT_EQ(held.steps(), stepped.steps());
-    // And the batched hold is bitwise the per-job StepHold: a
-    // simulator is a one-member panel over the same hold operators.
-    TransientSimulator ref(model, 1e-3);
-    BatchStepPropagator solo(prop, 1);
-    solo.AddMember(ref.state());
-    const std::vector<double> p = PowerPattern(model.num_cores(), 0, 0);
-    ref.StepHold(p, n);
-    solo.SetPowers(0, p);
-    solo.StepN(n);
-    EXPECT_TRUE(BitwiseEqual(solo.MemberState(0), ref.state())) << "n=" << n;
-    EXPECT_NEAR(static_cast<double>(solo.steps()) * solo.dt(), ref.time(),
-                1e-12);
-  }
-}
-
 TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
   const RcModel model(Floorplan::MakeGrid(9, 5.1));
   // One PropagatorSet, two dt cohorts -- the engine keys cohorts by
@@ -265,9 +234,9 @@ TEST(BatchStepPropagator, RejectsBadInputs) {
   EXPECT_THROW((void)batch.PeakDieTemp(7), ContractViolation);
 }
 
-// TSan target: many cohorts over ONE shared propagator. StepN races on
-// the memoized Hold(n) build against per-job simulators reading the
-// same holds through the shared set.
+// TSan target: many cohorts over ONE shared propagator. Every thread
+// reads the same immutable step operator, through its own cohort and
+// through a per-job simulator built from the shared set.
 TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   const auto set = std::make_shared<const PropagatorSet>();
@@ -293,12 +262,11 @@ TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
         b.AddMember(InitialState(model.num_nodes(), j));
         b.SetPowers(j, PowerPattern(model.num_cores(), j, 0));
       }
-      // Interleave with a per-job simulator sharing the same memoized
-      // holds, mimicking a sweep where scalar and batched workers
-      // coexist.
+      // Interleave with a per-job simulator over the same propagator,
+      // mimicking a sweep where scalar and batched workers coexist.
       TransientSimulator scalar(model, 1e-3, StepKernel::kAuto, set);
       for (std::size_t s = 0; s < 10; ++s) b.Step();
-      scalar.StepHold(PowerPattern(model.num_cores(), t, 1), 16);
+      scalar.StepN(PowerPattern(model.num_cores(), t, 1), 16);
       b.StepN(16);
       got[t].resize(model.num_nodes());
       b.CopyState(0, got[t]);
@@ -402,6 +370,72 @@ TEST(SweepEngineBatchTest, CohortWidthCapsAtSixteen) {
   EXPECT_EQ(stats.batch_cohorts, 2u);
   EXPECT_EQ(stats.batch_cohort_members, 20u);
   EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+// One closed-loop semantics: every boost_transient row is the Fig. 11
+// closed loop, BoostingSimulator::RunBoosting from the level that
+// MaxSafeConstantLevel picks, bit for bit -- on the k = 1 lane and
+// inside a cohort. max_temp_c and final_peak_c are not compared: they
+// are defined differently (the row takes each period's starting peak,
+// RunBoosting samples after each step).
+TEST(BoostTransientClosedLoop, RowsAreRunBoostingBitForBit) {
+  constexpr const char* kSpec = R"({
+    "name": "bt_closed_loop", "kind": "boost_transient", "seed": 5,
+    "base": {"node": "16nm", "duration_s": 0.05, "control_ms": 1.0},
+    "axes": {"app": ["x264", "ferret", "blackscholes"],
+             "power_cap_w": [250, 400, 500]}
+  })";
+  const SweepSpec spec = SweepSpec::FromJsonText(kSpec);
+  const std::vector<SweepJob> jobs = spec.Jobs();
+  ASSERT_GE(jobs.size(), 9u);
+  const arch::Platform platform =
+      arch::Platform::PaperPlatform(power::TechNode::N16);
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  // A thread per job runs every job on the k = 1 lane; one thread runs
+  // them as one cohort.
+  for (const std::size_t threads : {jobs.size(), std::size_t{1}}) {
+    ModelCache cache;
+    SweepOptions opts;
+    opts.threads = threads;
+    opts.cache = &cache;
+    const SweepOutcome out = SweepEngine(spec, opts).Run();
+    EXPECT_EQ(out.stats.batch_cohorts, threads == 1 ? 1u : 0u);
+    ASSERT_EQ(out.results.size(), jobs.size());
+    std::size_t compared = 0;
+    for (const SweepJob& job : jobs) {
+      const SweepPoint& p = job.point;
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << p.app
+                                      << " at " << p.power_cap_w << " W");
+      const JobResult& row = out.results[job.index];
+      ASSERT_TRUE(row.ok) << row.error;
+      const core::BoostingSimulator sim(platform, apps::AppByName(p.app),
+                                        p.instances, p.threads);
+      std::size_t level = 0;
+      const bool feasible = sim.MaxSafeConstantLevel(p.power_cap_w, &level);
+      ASSERT_EQ(row.skipped, !feasible);
+      if (!feasible) continue;
+      const core::BoostTrace ref =
+          sim.RunBoosting(level, platform.tdtm_c(), p.power_cap_w,
+                          p.duration_s, p.control_ms * 1e-3);
+      const std::pair<const char*, double> expected[] = {
+          {"avg_gips", ref.avg_gips},
+          {"energy_j", ref.energy_j},
+          {"max_power_w", ref.max_power_w}};
+      for (const auto& [name, want] : expected) {
+        const auto it = std::find_if(
+            row.metrics.begin(), row.metrics.end(),
+            [&](const auto& m) { return m.first == name; });
+        ASSERT_NE(it, row.metrics.end()) << name;
+        EXPECT_TRUE(same_bits(it->second, want))
+            << name << ": row " << std::setprecision(17) << it->second
+            << ", RunBoosting " << want;
+      }
+      ++compared;
+    }
+    EXPECT_GE(compared, 9u);
+  }
 }
 
 }  // namespace

@@ -79,19 +79,6 @@ TEST(Kernels, GemmMatchesNaive) {
   }
 }
 
-TEST(Kernels, GemmAddAccumulates) {
-  Fill fill(11);
-  const Matrix a = fill.Make(6, 70);
-  const Matrix b = fill.Make(70, 5);
-  Matrix c = fill.Make(6, 5);
-  const Matrix c0 = c;
-  GemmAdd(a, b, &c);
-  const Matrix ab = NaiveGemm(a, b);
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 5; ++j)
-      EXPECT_NEAR(c(i, j), c0(i, j) + ab(i, j), 1e-10);
-}
-
 TEST(Kernels, GemmRejectsShapeMismatch) {
   const Matrix a(3, 4), b(4, 2);
   Matrix wrong_inner(5, 2), wrong_out(3, 3), ok(3, 2);
@@ -169,11 +156,6 @@ TEST(Kernels, FmaTilesMatchPortableFoldBitwise) {
         Matrix c(k, m);
         Gemm(a, b, &c);
         EXPECT_TRUE(SameBits(c, gemm_ref)) << "Gemm";
-        Matrix c_add = fill.Make(k, m);
-        Matrix add_ref = c_add;
-        detail::PanelFoldPortable(b, a, k, add_ref, /*zero=*/false);
-        GemmAdd(a, b, &c_add);
-        EXPECT_TRUE(SameBits(c_add, add_ref)) << "GemmAdd";
 
         if (!SameBits(UnfusedFold(at, x.storage(), k), ref))
           unfused_differs = true;

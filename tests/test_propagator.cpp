@@ -1,8 +1,8 @@
 // Step propagator: the folded dense operators (stepped on the panel
 // kernel) must match a reference LU stepper to rounding error (1e-9 C)
-// across floorplan sizes, power patterns and hold lengths -- both solve
-// the same implicit-Euler update, so any divergence is a correctness
-// bug in the fold.
+// across floorplan sizes and power patterns -- both solve the same
+// implicit-Euler update, so any divergence is a correctness bug in the
+// fold.
 #include "thermal/propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -94,59 +94,6 @@ TEST(StepPropagator, MatchesLuPathAcrossFloorplanSizes) {
   }
 }
 
-TEST(StepPropagator, HoldMatchesExplicitStepsToRoundingError) {
-  const std::size_t cores = 36;
-  const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-  const std::vector<double> p = PowerPattern(cores, 0);
-  for (const std::size_t k : {1u, 2u, 3u, 7u, 64u, 1000u}) {
-    TransientSimulator held(model, 1e-3);
-    TransientSimulator stepped(model, 1e-3);
-    // Start from a non-trivial state so t_op is exercised.
-    held.InitializeSteadyState(PowerPattern(cores, 1));
-    stepped.InitializeSteadyState(PowerPattern(cores, 1));
-    held.StepHold(p, k);
-    for (std::size_t s = 0; s < k; ++s) stepped.Step(p);
-    EXPECT_LT(MaxAbsDiff(held.state(), stepped.state()), 1e-9) << "k=" << k;
-    EXPECT_NEAR(held.time(), stepped.time(), 1e-12);
-  }
-}
-
-TEST(StepPropagator, HoldMatchesLegacyLuSteps) {
-  const std::size_t cores = 16;
-  const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-  const std::vector<double> p = PowerPattern(cores, 2);
-  TransientSimulator fast(model, 1e-3);
-  LuStepper legacy(model, 1e-3);
-  fast.StepHold(p, 200);
-  for (int s = 0; s < 200; ++s) legacy.Step(p);
-  EXPECT_LT(MaxAbsDiff(fast.state(), legacy.state()), 1e-9);
-}
-
-TEST(StepPropagator, StepNRoutesThroughHoldWithIdenticalSemantics) {
-  const std::size_t cores = 16;
-  const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-  const std::vector<double> p = PowerPattern(cores, 0);
-  TransientSimulator a(model, 1e-3);
-  TransientSimulator b(model, 1e-3);
-  a.StepN(p, 25);
-  for (std::size_t s = 0; s < 25; ++s) b.Step(p);
-  EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-9);
-  EXPECT_NEAR(a.time(), 25e-3, 1e-12);
-  a.StepN(p, 0);  // no-op
-  EXPECT_NEAR(a.time(), 25e-3, 1e-12);
-}
-
-TEST(StepPropagator, HoldOperatorsAreMemoized) {
-  const RcModel model(Floorplan::MakeGrid(9, 5.1));
-  const StepPropagator prop(model, 1e-3);
-  const auto h1 = prop.Hold(37);
-  const auto h2 = prop.Hold(37);
-  EXPECT_EQ(h1.get(), h2.get());
-  EXPECT_EQ(h1->k, 37u);
-  EXPECT_EQ(h1->state_t.rows(), model.num_nodes());
-  EXPECT_EQ(h1->input_t.rows(), model.num_cores());
-}
-
 TEST(StepPropagator, RejectsNonPositiveDt) {
   const RcModel model(Floorplan::MakeGrid(4, 5.1));
   EXPECT_THROW(StepPropagator(model, 0.0), std::invalid_argument);
@@ -196,9 +143,9 @@ TEST(PropagatorSet, PlatformMakeTransientSharesPropagators) {
   TransientSimulator c = platform.MakeTransient(5e-3);
   EXPECT_EQ(platform.propagators()->size(), 2u);
   const std::vector<double> p(16, 2.0);
-  a.StepHold(p, 64);
-  b.StepHold(p, 64);
-  c.StepHold(p, 64);
+  a.StepN(p, 64);
+  b.StepN(p, 64);
+  c.StepN(p, 64);
   // a and b advanced identically off the shared operators.
   EXPECT_EQ(MaxAbsDiff(a.state(), b.state()), 0.0);
 }
@@ -211,8 +158,7 @@ TEST(StepPropagator, OperatorShapesAndFiniteness) {
   EXPECT_EQ(prop.num_cores(), model.num_cores());
   // One copy of each operator, in the transposed layout the panel
   // kernel reads: M_state^T, M_in^T and c_amb^T as a row.
-  const StepPropagator::HoldOperator& step = prop.step();
-  EXPECT_EQ(step.k, 1u);
+  const StepPropagator::Operator& step = prop.step();
   EXPECT_EQ(step.state_t.rows(), n);
   EXPECT_EQ(step.state_t.cols(), n);
   EXPECT_EQ(step.input_t.rows(), model.num_cores());
@@ -221,8 +167,6 @@ TEST(StepPropagator, OperatorShapesAndFiniteness) {
   EXPECT_EQ(step.ambient.cols(), n);
   for (const util::Matrix* m : {&step.state_t, &step.input_t, &step.ambient})
     for (const double x : m->data()) ASSERT_TRUE(std::isfinite(x));
-  // Hold(1) is the step operator itself, not a second copy.
-  EXPECT_EQ(prop.Hold(1).get(), &step);
   // The zero-power, ambient-start fixed point: ambient state must map
   // exactly back to ambient (M_state*T_amb + c_amb == T_amb) -- checked
   // through the simulator at tight tolerance.

@@ -54,13 +54,18 @@ TEST_F(TransientTest, ConvergesToSteadyState) {
   EXPECT_LT(util::MaxAbsDiffVec(transient, steady), 0.05);
 }
 
+// The steady state of constant powers is a fixed point of the
+// implicit-Euler step: stepping from it under the same powers moves
+// every node by rounding only. boost_transient rows rest on this: they
+// start the closed loop straight from the steady warm start, with no
+// settle steps in between.
 TEST_F(TransientTest, InitializeSteadyStateIsAFixedPoint) {
   TransientSimulator sim(model_, 1e-3);
   std::vector<double> p(16, 2.5);
   sim.InitializeSteadyState(p);
-  const std::vector<double> before = sim.DieTemps();
+  const std::vector<double> before(sim.state().begin(), sim.state().end());
   sim.StepN(p, 10);
-  EXPECT_LT(util::MaxAbsDiffVec(sim.DieTemps(), before), 1e-9);
+  EXPECT_LT(util::MaxAbsDiffVec(sim.state(), before), 1e-9);
 }
 
 TEST_F(TransientTest, CoolsBackTowardAmbientWhenPowerRemoved) {
