@@ -49,6 +49,21 @@ std::vector<std::size_t> SelectCheckerboard(const thermal::Floorplan& fp,
   return out;
 }
 
+/// PlaceDispersed from an empty chip over all cores, sorted.
+std::vector<std::size_t> DisperseOnEmptyChip(const util::Matrix& influence,
+                                             std::span<const double> power,
+                                             std::size_t count) {
+  const std::size_t n = influence.rows();
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<bool> used(n, false);
+  std::vector<double> rise(n, 0.0);
+  std::vector<std::size_t> out =
+      PlaceDispersed(influence, all, power, count, used, rise);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 const char* MappingPolicyName(MappingPolicy policy) {
@@ -65,41 +80,83 @@ const char* MappingPolicyName(MappingPolicy policy) {
   return "?";
 }
 
-std::vector<std::size_t> SelectSpread(const util::Matrix& influence,
-                                      std::size_t count) {
+MappingPolicy MappingPolicyByName(const std::string& name) {
+  for (const MappingPolicy policy :
+       {MappingPolicy::kContiguous, MappingPolicy::kDensest,
+        MappingPolicy::kCheckerboard, MappingPolicy::kSpread}) {
+    if (name == MappingPolicyName(policy)) return policy;
+  }
+  if (name == "worst") return MappingPolicy::kDensest;
+  throw std::invalid_argument(
+      "unknown mapping policy '" + name +
+      "' (contiguous|densest|checkerboard|spread|worst)");
+}
+
+std::vector<std::size_t> PlaceDispersed(const util::Matrix& influence,
+                                        std::span<const std::size_t> candidates,
+                                        std::span<const double> power,
+                                        std::size_t count,
+                                        std::vector<bool>& used,
+                                        std::vector<double>& rise) {
   const std::size_t n = influence.rows();
-  DS_REQUIRE(count <= n, "SelectSpread: count " << count << " exceeds "
-                             << n << " cores");
-  std::vector<bool> chosen(n, false);
-  // row_sum[i] = current steady-state rise at core i per watt applied
-  // uniformly on the chosen set.
-  std::vector<double> row_sum(n, 0.0);
-  std::vector<std::size_t> out;
-  out.reserve(count);
+  DS_REQUIRE(power.size() == n && used.size() == n && rise.size() == n,
+             "PlaceDispersed: " << power.size() << " powers, " << used.size()
+                 << " used flags and " << rise.size() << " rises for " << n
+                 << " cores");
+  // Rows that bound the peak: the used cores'. Peaks occur on active
+  // cores (self-influence dominates), so restricting to them is both
+  // faster and how TSP evaluates a mapping. A max does not depend on
+  // the order it visits them in.
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < n; ++i)
+    if (used[i]) rows.push_back(i);
+  std::vector<std::size_t> placed;
+  placed.reserve(count);
   for (std::size_t step = 0; step < count; ++step) {
     std::size_t best = n;
     double best_peak = std::numeric_limits<double>::infinity();
-    for (std::size_t cand = 0; cand < n; ++cand) {
-      if (chosen[cand]) continue;
-      // Peak over *active* rows if cand is added. Peaks occur on active
-      // cores (self-influence dominates), so restricting to them is
-      // both faster and matches how TSP evaluates a mapping.
-      double peak = row_sum[cand] + influence(cand, cand);
-      for (const std::size_t i : out)
-        peak = std::max(peak, row_sum[i] + influence(i, cand));
+    for (const std::size_t cand : candidates) {
+      if (used[cand]) continue;
+      double peak = rise[cand] + influence(cand, cand) * power[cand];
+      for (const std::size_t i : rows)
+        peak = std::max(peak, rise[i] + influence(i, cand) * power[cand]);
       if (peak < best_peak) {
         best_peak = peak;
         best = cand;
       }
     }
-    DS_INVARIANT(best < n, "SelectSpread: greedy step " << step
-                               << " found no candidate");
-    chosen[best] = true;
-    out.push_back(best);
-    for (std::size_t i = 0; i < n; ++i) row_sum[i] += influence(i, best);
+    DS_INVARIANT(best < n, "PlaceDispersed: greedy step " << step
+                               << " found no free candidate");
+    used[best] = true;
+    rows.push_back(best);
+    placed.push_back(best);
+    for (std::size_t i = 0; i < n; ++i)
+      rise[i] += influence(i, best) * power[best];
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return placed;
+}
+
+void ReleaseCores(const util::Matrix& influence,
+                  std::span<const std::size_t> cores,
+                  std::span<const double> power, std::vector<bool>& used,
+                  std::vector<double>& rise) {
+  const std::size_t n = influence.rows();
+  DS_REQUIRE(power.size() == n && used.size() == n && rise.size() == n,
+             "ReleaseCores: " << power.size() << " powers, " << used.size()
+                 << " used flags and " << rise.size() << " rises for " << n
+                 << " cores");
+  for (const std::size_t c : cores) {
+    used[c] = false;
+    for (std::size_t i = 0; i < n; ++i) rise[i] -= influence(i, c) * power[c];
+  }
+}
+
+std::vector<std::size_t> SelectSpread(const util::Matrix& influence,
+                                      std::size_t count) {
+  const std::size_t n = influence.rows();
+  DS_REQUIRE(count <= n, "SelectSpread: count " << count << " exceeds "
+                             << n << " cores");
+  return DisperseOnEmptyChip(influence, std::vector<double>(n, 1.0), count);
 }
 
 std::vector<std::size_t> SelectVariationAware(
@@ -112,39 +169,13 @@ std::vector<std::size_t> SelectVariationAware(
   DS_REQUIRE(leakage_factors.size() == n,
              "SelectVariationAware: " << leakage_factors.size()
                  << " leakage factors for " << n << " cores");
-  // Same greedy as SelectSpread, but core j contributes
-  // w_j = (1 - leak_weight) + leak_weight * leak_j per unit of nominal
-  // power: a leaky core heats its neighbourhood more.
+  // Core j contributes w_j = (1 - leak_weight) + leak_weight * leak_j
+  // per unit of nominal power: a leaky core heats its neighbourhood
+  // more.
   std::vector<double> weight(n);
   for (std::size_t j = 0; j < n; ++j)
     weight[j] = (1.0 - leak_weight) + leak_weight * leakage_factors[j];
-
-  std::vector<bool> chosen(n, false);
-  std::vector<double> row_sum(n, 0.0);
-  std::vector<std::size_t> out;
-  out.reserve(count);
-  for (std::size_t step = 0; step < count; ++step) {
-    std::size_t best = n;
-    double best_peak = std::numeric_limits<double>::infinity();
-    for (std::size_t cand = 0; cand < n; ++cand) {
-      if (chosen[cand]) continue;
-      double peak = row_sum[cand] + influence(cand, cand) * weight[cand];
-      for (const std::size_t i : out)
-        peak = std::max(peak, row_sum[i] + influence(i, cand) * weight[cand]);
-      if (peak < best_peak) {
-        best_peak = peak;
-        best = cand;
-      }
-    }
-    DS_INVARIANT(best < n, "SelectVariationAware: greedy step " << step
-                               << " found no candidate");
-    chosen[best] = true;
-    out.push_back(best);
-    for (std::size_t i = 0; i < n; ++i)
-      row_sum[i] += influence(i, best) * weight[best];
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return DisperseOnEmptyChip(influence, weight, count);
 }
 
 std::vector<std::size_t> SelectCoresGeometric(const thermal::Floorplan& fp,

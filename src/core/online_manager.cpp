@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <stdexcept>
 
+#include "core/mapping.hpp"
 #include "telemetry/scoped.hpp"
 #include "util/contracts.hpp"
 
@@ -21,44 +22,6 @@ struct Job {
   std::size_t admit_epoch = 0;
   std::vector<std::size_t> cores;
 };
-
-/// Incremental dispersion: picks `count` cores from the free set,
-/// greedily minimizing the predicted peak rise given the budget powers
-/// already placed on the chip. `rise` is the current per-core rise
-/// estimate (A * p) and is updated in place.
-std::vector<std::size_t> PlaceIncremental(const util::Matrix& influence,
-                                          std::vector<bool>& used,
-                                          std::vector<double>& rise,
-                                          double new_core_power,
-                                          std::size_t count) {
-  const std::size_t n = influence.rows();
-  std::vector<std::size_t> placed;
-  placed.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    std::size_t best = n;
-    double best_peak = std::numeric_limits<double>::infinity();
-    for (std::size_t cand = 0; cand < n; ++cand) {
-      if (used[cand]) continue;
-      // Peak after adding cand: existing hotspots plus cand itself.
-      double peak = rise[cand] + influence(cand, cand) * new_core_power;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!used[i] && i != cand) continue;
-        peak = std::max(peak, rise[i] + influence(i, cand) * new_core_power);
-      }
-      if (peak < best_peak) {
-        best_peak = peak;
-        best = cand;
-      }
-    }
-    DS_INVARIANT(best < n, "PlaceIncremental: greedy step " << k
-                               << " found no free core");
-    used[best] = true;
-    placed.push_back(best);
-    for (std::size_t i = 0; i < n; ++i)
-      rise[i] += influence(i, best) * new_core_power;
-  }
-  return placed;
-}
 
 }  // namespace
 
@@ -115,6 +78,8 @@ OnlineResult OnlineManager::Run(std::size_t epochs) const {
   std::vector<bool> down(n, false);  // fault outages (degraded core set)
   std::vector<double> rise(n, 0.0);  // predicted rise from budget powers
   double budget_used = 0.0;
+  std::vector<std::size_t> all_cores(n);  // placement candidates
+  std::iota(all_cores.begin(), all_cores.end(), 0);
 
   // One epoch is one fault control step; null when disabled.
   std::unique_ptr<faults::FaultInjector> injector;
@@ -151,11 +116,8 @@ OnlineResult OnlineManager::Run(std::size_t epochs) const {
             continue;
           }
           const double p_core = budget_core_power(*it->app);
-          for (const std::size_t c : it->cores) {
-            used[c] = false;
-            for (std::size_t i = 0; i < n; ++i)
-              rise[i] -= influence(i, c) * p_core;
-          }
+          ReleaseCores(influence, it->cores, std::vector<double>(n, p_core),
+                       used, rise);
           budget_used -= p_core * static_cast<double>(config_.threads);
           it->cores.clear();
           ++result.jobs_requeued;
@@ -222,10 +184,11 @@ OnlineResult OnlineManager::Run(std::size_t epochs) const {
         // T_DTM.
         std::vector<bool> used_try = used;
         for (std::size_t c = 0; c < n; ++c)
-          if (down[c]) used_try[c] = true;  // exclude from placement
+          if (down[c]) used_try[c] = true;  // not placed; rows still count
         std::vector<double> rise_try = rise;
-        const std::vector<std::size_t> placed = PlaceIncremental(
-            influence, used_try, rise_try, p_core, config_.threads);
+        const std::vector<std::size_t> placed =
+            PlaceDispersed(influence, all_cores, std::vector<double>(n, p_core),
+                           config_.threads, used_try, rise_try);
         const double peak =
             *std::max_element(rise_try.begin(), rise_try.end());
         if (peak > headroom) break;
@@ -267,11 +230,8 @@ OnlineResult OnlineManager::Run(std::size_t epochs) const {
     for (auto it = running.begin(); it != running.end();) {
       if (--it->remaining == 0) {
         const double p_core = budget_core_power(*it->app);
-        for (const std::size_t c : it->cores) {
-          used[c] = false;
-          for (std::size_t i = 0; i < n; ++i)
-            rise[i] -= influence(i, c) * p_core;
-        }
+        ReleaseCores(influence, it->cores, std::vector<double>(n, p_core),
+                     used, rise);
         budget_used -= p_core * static_cast<double>(config_.threads);
         ++result.jobs_completed;
         it = running.erase(it);

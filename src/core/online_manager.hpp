@@ -10,8 +10,11 @@
 //                       stays below a fixed TDP; place contiguously.
 //   * kThermalSafe   -- TSP-style: admit while the *predicted steady
 //                       peak temperature* (influence matrix, leakage at
-//                       T_DTM) stays below T_DTM; place incrementally
-//                       dispersed (running jobs cannot migrate).
+//                       T_DTM) stays below T_DTM; place with
+//                       core::PlaceDispersed on top of the running jobs'
+//                       rise (running jobs cannot migrate). Down cores
+//                       are never placed on, but their rows still bound
+//                       the predicted peak.
 //
 // The comparison quantifies the paper's thesis at the system level:
 // power budgets leave thermal headroom unused (or violate it), while

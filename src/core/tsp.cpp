@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/estimator.hpp"
 #include "telemetry/scoped.hpp"
 #include "util/contracts.hpp"
 
@@ -78,23 +79,16 @@ std::size_t Tsp::MaxActiveCores(double per_core_power_w,
   return lo;
 }
 
-double Tsp::CorePowerAtLevel(const apps::AppProfile& app, std::size_t threads,
-                             std::size_t level) const {
-  const power::VfLevel& vf = platform_->ladder()[level];
-  return platform_->power_model().TotalPower(
-      app.Activity(threads), app.ceff22_nf, app.pind22, vf.vdd, vf.freq,
-      platform_->tdtm_c());
-}
-
 bool Tsp::MaxLevelWithinBudget(const apps::AppProfile& app,
                                std::size_t threads, double budget_w,
                                std::size_t* level_out) const {
   DS_REQUIRE(level_out != nullptr,
              "Tsp::MaxLevelWithinBudget: level_out must not be null");
+  const DarkSiliconEstimator estimator(*platform_);
   const std::size_t n_levels = platform_->ladder().size();
   bool found = false;
   for (std::size_t level = 0; level < n_levels; ++level) {
-    if (CorePowerAtLevel(app, threads, level) <= budget_w) {
+    if (estimator.BudgetCorePower(app, threads, level) <= budget_w) {
       *level_out = level;
       found = true;
     }

@@ -62,11 +62,6 @@ class Tsp {
                              MappingPolicy policy = MappingPolicy::kDensest)
       const;
 
-  /// Per-core power of (app, threads) at ladder level `level`, with
-  /// leakage conservatively evaluated at T_DTM.
-  double CorePowerAtLevel(const apps::AppProfile& app, std::size_t threads,
-                          std::size_t level) const;
-
   const arch::Platform& platform() const { return *platform_; }
 
  private:

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
-#include "util/contracts.hpp"
+#include "core/mapping.hpp"
 
 namespace ds::reliability {
 
@@ -65,33 +64,12 @@ std::vector<std::size_t> SelectAgingAware(const util::Matrix& influence,
   });
   pool.resize(pool_size);
 
-  // Greedy thermal dispersion inside the pool (as SelectSpread, but
-  // restricted to the candidates).
-  std::vector<bool> in_pool(n, false);
-  for (const std::size_t c : pool) in_pool[c] = true;
-  std::vector<bool> chosen(n, false);
-  std::vector<double> row_sum(n, 0.0);
-  std::vector<std::size_t> out;
-  out.reserve(count);
-  for (std::size_t step = 0; step < count; ++step) {
-    std::size_t best = n;
-    double best_peak = std::numeric_limits<double>::infinity();
-    for (const std::size_t cand : pool) {
-      if (chosen[cand]) continue;
-      double peak = row_sum[cand] + influence(cand, cand);
-      for (const std::size_t i : out)
-        peak = std::max(peak, row_sum[i] + influence(i, cand));
-      if (peak < best_peak) {
-        best_peak = peak;
-        best = cand;
-      }
-    }
-    DS_INVARIANT(best < n, "SelectAgingAware: greedy step " << step
-                               << " found no candidate");
-    chosen[best] = true;
-    out.push_back(best);
-    for (std::size_t i = 0; i < n; ++i) row_sum[i] += influence(i, best);
-  }
+  // Greedy thermal dispersion from an empty chip, over the pool in pool
+  // order (least worn first) at unit power.
+  std::vector<bool> used(n, false);
+  std::vector<double> rise(n, 0.0);
+  std::vector<std::size_t> out = core::PlaceDispersed(
+      influence, pool, std::vector<double>(n, 1.0), count, used, rise);
   std::sort(out.begin(), out.end());
   return out;
 }

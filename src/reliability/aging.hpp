@@ -57,9 +57,8 @@ class AgingState {
 
 /// Aging-aware active-set selection (Hayat-style rotation): restricts
 /// the candidate pool to the least-worn `pool_factor * count` cores and
-/// applies thermal dispersion (greedy min-peak on the influence matrix)
-/// inside that pool, so wear equalizes over epochs without giving up
-/// the patterning benefit.
+/// runs core::PlaceDispersed over that pool, least worn first, so wear
+/// equalizes over epochs without giving up the patterning benefit.
 std::vector<std::size_t> SelectAgingAware(const util::Matrix& influence,
                                           const AgingState& aging,
                                           std::size_t count,

@@ -20,15 +20,6 @@ namespace ds::runtime {
 
 namespace {
 
-core::MappingPolicy PolicyByName(const std::string& name) {
-  if (name == "contiguous") return core::MappingPolicy::kContiguous;
-  if (name == "spread") return core::MappingPolicy::kSpread;
-  if (name == "checkerboard") return core::MappingPolicy::kCheckerboard;
-  if (name == "densest" || name == "worst")
-    return core::MappingPolicy::kDensest;
-  DS_REQUIRE(false, "RunScenario: unknown mapping policy '" << name << "'");
-}
-
 /// Builds the point's platform with cache-shared thermal assets
 /// installed, so the job never factorizes a conductance matrix that any
 /// earlier job (or concurrent job, after blocking on the build) already
@@ -53,7 +44,7 @@ void RunEstimate(const SweepPoint& p, ModelCache& cache, JobResult* result) {
   const apps::AppProfile& app = apps::AppByName(p.app);
   const core::DarkSiliconEstimator estimator(platform);
   const std::size_t level = LevelFor(platform, p.freq_ghz);
-  const core::MappingPolicy policy = PolicyByName(p.mapping);
+  const core::MappingPolicy policy = core::MappingPolicyByName(p.mapping);
   const core::Estimate e =
       p.constraint == "thermal"
           ? estimator.UnderTemperature(app, p.threads, level, policy)
@@ -293,7 +284,7 @@ void RunBoostTransientCohort(
       const apps::AppProfile& app = apps::AppByName(m.p->app);
       m.sim = std::make_unique<core::BoostingSimulator>(
           *m.platform, app, m.p->instances, m.p->threads,
-          PolicyByName(m.p->mapping));
+          core::MappingPolicyByName(m.p->mapping));
       std::size_t level = 0;
       if (!m.sim->MaxSafeConstantLevel(m.p->power_cap_w, &level)) {
         m.result->skipped = true;

@@ -7,6 +7,7 @@
 #include <span>
 #include <sstream>
 
+#include "core/mapping.hpp"
 #include "telemetry/json.hpp"
 #include "util/contracts.hpp"
 
@@ -56,10 +57,7 @@ void ApplyField(SweepPoint* point, const std::string& field,
                "SweepSpec: constraint '" << value << "' (tdp|thermal)");
     point->constraint = value;
   } else if (field == "mapping") {
-    DS_REQUIRE(value == "contiguous" || value == "spread" ||
-                   value == "checkerboard" || value == "densest" ||
-                   value == "worst",
-               "SweepSpec: mapping '" << value << "'");
+    core::MappingPolicyByName(value);  // throws on an unknown name
     point->mapping = value;
   } else if (field == "cores") {
     point->cores = ParseCount(field, value);

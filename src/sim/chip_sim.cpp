@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -11,6 +10,8 @@
 
 #include "apps/app_profile.hpp"
 #include "apps/workload.hpp"
+#include "core/estimator.hpp"
+#include "core/mapping.hpp"
 #include "faults/sensor_bus.hpp"
 #include "telemetry/scoped.hpp"
 #include "thermal/transient.hpp"
@@ -108,10 +109,11 @@ FullSimResult ChipSimulator::Run() const {
   double noc_acc = 0.0;
   std::size_t control_steps = 0;
 
-  auto budget_core_power = [&](const apps::AppProfile& app) {
-    const power::VfLevel& vf = ladder[nominal];
-    return pm.TotalPower(app.Activity(threads), app.ceff22_nf, app.pind22,
-                         vf.vdd, vf.freq, t_dtm);
+  // Per-core budget power of a job, the admission's rise weights.
+  const core::DarkSiliconEstimator estimator(*platform_);
+  auto budget_power = [&](const apps::AppProfile& app) {
+    return std::vector<double>(
+        n, estimator.BudgetCorePower(app, threads, nominal));
   };
 
   auto rebuild_noc = [&]() {
@@ -156,12 +158,8 @@ FullSimResult ChipSimulator::Run() const {
             ++it;
             continue;
           }
-          const double p = budget_core_power(*it->app);
-          for (const std::size_t c : it->cores) {
-            used[c] = false;
-            for (std::size_t i = 0; i < n; ++i)
-              rise[i] -= influence(i, c) * p;
-          }
+          core::ReleaseCores(influence, it->cores, budget_power(*it->app),
+                             used, rise);
           it->cores.clear();
           if (it->remaining_s <= 0.0) {
             ++result.jobs_completed;  // finished before the core died
@@ -197,12 +195,8 @@ FullSimResult ChipSimulator::Run() const {
       // Departures first (jobs that finished during the last epoch).
       for (auto it = running.begin(); it != running.end();) {
         if (it->remaining_s <= 0.0) {
-          const double p = budget_core_power(*it->app);
-          for (const std::size_t c : it->cores) {
-            used[c] = false;
-            for (std::size_t i = 0; i < n; ++i)
-              rise[i] -= influence(i, c) * p;
-          }
+          core::ReleaseCores(influence, it->cores, budget_power(*it->app),
+                             used, rise);
           ++result.jobs_completed;
           it = running.erase(it);
         } else {
@@ -222,36 +216,20 @@ FullSimResult ChipSimulator::Run() const {
       }
       // Thermal-safe admission with incremental dispersed placement
       // (down cores are excluded: the degraded core set).
+      std::vector<std::size_t> alive;
+      for (std::size_t c = 0; c < n; ++c)
+        if (!down[c]) alive.push_back(c);
       while (!queue.empty()) {
         Job& job = queue.front();
         std::size_t free_count = 0;
-        for (std::size_t c = 0; c < n; ++c)
-          if (!used[c] && !down[c]) ++free_count;
+        for (const std::size_t c : alive)
+          if (!used[c]) ++free_count;
         if (free_count < threads) break;
-        const double p = budget_core_power(*job.app);
         std::vector<bool> used_try = used;
         std::vector<double> rise_try = rise;
-        std::vector<std::size_t> placed;
-        for (std::size_t t = 0; t < threads; ++t) {
-          std::size_t best = n;
-          double best_peak = std::numeric_limits<double>::infinity();
-          for (std::size_t cand = 0; cand < n; ++cand) {
-            if (used_try[cand] || down[cand]) continue;
-            double peak = rise_try[cand] + influence(cand, cand) * p;
-            for (std::size_t i = 0; i < n; ++i) {
-              if (!used_try[i]) continue;
-              peak = std::max(peak, rise_try[i] + influence(i, cand) * p);
-            }
-            if (peak < best_peak) {
-              best_peak = peak;
-              best = cand;
-            }
-          }
-          used_try[best] = true;
-          placed.push_back(best);
-          for (std::size_t i = 0; i < n; ++i)
-            rise_try[i] += influence(i, best) * p;
-        }
+        std::vector<std::size_t> placed =
+            core::PlaceDispersed(influence, alive, budget_power(*job.app),
+                                 threads, used_try, rise_try);
         const double predicted =
             *std::max_element(rise_try.begin(), rise_try.end());
         if (predicted > headroom) break;
@@ -267,18 +245,14 @@ FullSimResult ChipSimulator::Run() const {
       // epoch's placement (a cold sink would otherwise mask every
       // thermal effect for the first ~30 s of simulated time).
       if (step == 0 && !running.empty()) {
-        const power::VfLevel& vf0 = ladder[level];
         std::vector<double> p0(n);
         const std::vector<double> t0 = thermal.DieTemps();
         for (std::size_t c = 0; c < n; ++c)
           p0[c] = noc_power[c] + pm.DarkCorePower(t0[c]);
         for (const Job& job : running) {
-          for (const std::size_t c : job.cores) {
-            p0[c] = noc_power[c] +
-                    pm.TotalPower(job.app->Activity(threads),
-                                  job.app->ceff22_nf, job.app->pind22,
-                                  vf0.vdd, vf0.freq, t_dtm);
-          }
+          const double p_core =
+              estimator.BudgetCorePower(*job.app, threads, level);
+          for (const std::size_t c : job.cores) p0[c] = noc_power[c] + p_core;
         }
         const bool inject_solver_fault =
             injector != nullptr && injector->ConsumeSolverFault();

@@ -6,8 +6,9 @@
 // systems in the dark silicon era" in executable form):
 //
 //   scheduler epoch (100 ms): job arrivals (Poisson), thermal-safe
-//     admission on the influence matrix, dispersed placement,
-//     departures; NoC power re-evaluated for the new traffic;
+//     admission on the influence matrix with core::PlaceDispersed over
+//     the alive cores, departures; NoC power re-evaluated for the new
+//     traffic;
 //   control period (1 ms): one implicit-Euler thermal step; the
 //     chip-wide DVFS governor boosts one ladder step when there is
 //     thermal headroom (Turbo-Boost style) and throttles below nominal

@@ -140,8 +140,11 @@ bool SameBits(const Matrix& a, const Matrix& b) {
 }
 
 bool SameBits(std::span<const double> a, std::span<const double> b) {
+  // memcmp's pointers must not be null, even for zero bytes, and an
+  // empty span's data() may be.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Unit power injections at every die node: the right-hand sides of

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "arch/platform.hpp"
+#include "core/online_manager.hpp"
+#include "reliability/aging.hpp"
 
 namespace ds::core {
 namespace {
@@ -112,6 +115,18 @@ TEST(Mapping, ActiveMaskMarksExactlyTheSet) {
 TEST(Mapping, PolicyNames) {
   EXPECT_STREQ(MappingPolicyName(MappingPolicy::kContiguous), "contiguous");
   EXPECT_STREQ(MappingPolicyName(MappingPolicy::kSpread), "spread");
+  for (const MappingPolicy p :
+       {MappingPolicy::kContiguous, MappingPolicy::kDensest,
+        MappingPolicy::kCheckerboard, MappingPolicy::kSpread})
+    EXPECT_EQ(MappingPolicyByName(MappingPolicyName(p)), p);
+  EXPECT_EQ(MappingPolicyByName("worst"), MappingPolicy::kDensest);
+  try {
+    MappingPolicyByName("sparse");
+    ADD_FAILURE() << "no throw on an unknown policy";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'sparse'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Mapping, VariationAwareAvoidsLeakyCores) {
@@ -151,6 +166,136 @@ TEST(Mapping, GeometricFallbackForSpread) {
   const auto b = SelectCoresGeometric(Plat16().floorplan(), 20,
                                       MappingPolicy::kCheckerboard);
   EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------------------ placement pins
+//
+// The greedy thermal placement breaks ties between mirror-image cores
+// on the influence matrix's last bits. These pins hash what each caller
+// of it places (64-bit FNV-1a, as InfluenceMatrixPin does) and hold the
+// bytes to those the five placement loops it replaced produced. A `<=`
+// in place of the strict `<`, or a caller that visits its candidates in
+// another order, moves them.
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
+template <typename T>
+std::uint64_t Fnv1a(const std::vector<T>& v, std::uint64_t h = kFnvBasis) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Counts 1 to 8 one by one, then in growing steps up to `n`.
+std::vector<std::size_t> PinCounts(std::size_t n) {
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 1; c <= n; c += 1 + c / 8) counts.push_back(c);
+  return counts;
+}
+
+struct DiePin {
+  power::TechNode node;
+  std::size_t cores;  // 0: the node's paper platform
+  std::uint64_t hash;
+};
+
+arch::Platform PinPlatform(const DiePin& pin) {
+  return pin.cores == 0 ? arch::Platform::PaperPlatform(pin.node)
+                        : arch::Platform(pin.node, pin.cores);
+}
+
+TEST(PlacementPin, SelectSpread) {
+  // On the paper dies no two candidates ever tie bitwise. On the 25-core
+  // 16 nm die, mirror-image cores tie from the first step, so that row
+  // fails if a tie goes to the later candidate.
+  const DiePin pins[] = {{power::TechNode::N16, 0, 0x707d85e17d522d99ull},
+                         {power::TechNode::N11, 0, 0x10d87a115de95887ull},
+                         {power::TechNode::N8, 0, 0x97ae272aabc52718ull},
+                         {power::TechNode::N16, 25, 0x4e15e50f07e909d2ull}};
+  for (const DiePin& pin : pins) {
+    const arch::Platform plat = PinPlatform(pin);
+    const util::Matrix& a = plat.solver().InfluenceMatrix();
+    std::uint64_t h = kFnvBasis;
+    for (const std::size_t c : PinCounts(a.rows()))
+      h = Fnv1a(SelectSpread(a, c), h);
+    EXPECT_EQ(h, pin.hash) << a.rows() << " cores: 0x" << std::hex << h;
+  }
+}
+
+TEST(PlacementPin, SelectVariationAware) {
+  const DiePin pins[] = {{power::TechNode::N16, 0, 0x9f772e82abf6196eull},
+                         {power::TechNode::N11, 0, 0x9ceeb6541549364bull},
+                         {power::TechNode::N8, 0, 0x2ed8794914beccbfull}};
+  for (const DiePin& pin : pins) {
+    const arch::Platform plat = PinPlatform(pin);
+    const util::Matrix& a = plat.solver().InfluenceMatrix();
+    // Leakage factors 0.6 to 1.8 in a fixed pattern (no RNG, so the pin
+    // does not depend on the standard library's distributions).
+    std::vector<double> leak(a.rows());
+    for (std::size_t i = 0; i < leak.size(); ++i)
+      leak[i] = 0.6 + 0.1 * static_cast<double>((7 * i) % 13);
+    std::uint64_t h = kFnvBasis;
+    for (const std::size_t c : PinCounts(a.rows()))
+      h = Fnv1a(SelectVariationAware(a, leak, c), h);
+    EXPECT_EQ(h, pin.hash) << a.rows() << " cores: 0x" << std::hex << h;
+  }
+}
+
+TEST(PlacementPin, SelectAgingAware) {
+  // Ties inside the 16 nm die's least-worn pool make its row fail under
+  // `<=` and under a pool visited in index order.
+  const DiePin pins[] = {{power::TechNode::N16, 0, 0x0e1104f1e41f9d4bull},
+                         {power::TechNode::N11, 0, 0x5fe4c212302c832eull},
+                         {power::TechNode::N8, 0, 0x2e3d868331496377ull}};
+  for (const DiePin& pin : pins) {
+    const arch::Platform plat = PinPlatform(pin);
+    const util::Matrix& a = plat.solver().InfluenceMatrix();
+    const std::size_t n = a.rows();
+    // Wear falls with the core index, so the least-worn pool is visited
+    // from its highest index down, the reverse of index order.
+    reliability::AgingState aging(n);
+    std::vector<double> temps(n);
+    for (std::size_t i = 0; i < n; ++i)
+      temps[i] = 95.0 - 50.0 * static_cast<double>(i) / static_cast<double>(n);
+    aging.Advance(temps, 100.0);
+    std::uint64_t h = kFnvBasis;
+    for (const std::size_t c : PinCounts(n))
+      h = Fnv1a(reliability::SelectAgingAware(a, aging, c), h);
+    EXPECT_EQ(h, pin.hash) << n << " cores: 0x" << std::hex << h;
+  }
+}
+
+TEST(PlacementPin, OnlineThermalSafeWithCoreFaults) {
+  const DiePin pins[] = {{power::TechNode::N16, 0, 0xdb95cd3a0cda42aeull},
+                         {power::TechNode::N11, 0, 0x2021bc7330415f61ull}};
+  for (const DiePin& pin : pins) {
+    const arch::Platform plat = PinPlatform(pin);
+    OnlineConfig cfg;
+    cfg.arrival_rate = 2.0;
+    cfg.min_duration = 4;
+    cfg.max_duration = 12;
+    cfg.seed = 11;
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 5;
+    cfg.faults.core_failstop_rate = 2e-3;
+    cfg.faults.core_transient_rate = 4e-3;
+    cfg.faults.transient_duration_s = 3.0;
+    cfg.faults.max_failed_cores = plat.num_cores() / 5;
+    const OnlineResult r =
+        OnlineManager(plat, AdmissionPolicy::kThermalSafe, cfg).Run(60);
+    EXPECT_GT(r.jobs_requeued, 0u);
+    const std::vector<std::size_t> counts = {
+        r.jobs_arrived,  r.jobs_completed, r.jobs_rejected,
+        r.jobs_requeued, r.cores_failed,   r.violation_epochs};
+    std::uint64_t h = Fnv1a(counts);
+    h = Fnv1a(r.epoch_gips, h);
+    h = Fnv1a(r.epoch_peak_temp, h);
+    EXPECT_EQ(h, pin.hash) << plat.num_cores() << " cores: 0x" << std::hex
+                           << h;
+  }
 }
 
 }  // namespace

@@ -152,8 +152,8 @@ TEST(InfluenceMatrixPin, BytesMatchTheDenseLuBuild) {
     const SteadyStateSolver solver(plat.thermal_model());
     EXPECT_EQ(fnv1a(solver.InfluenceMatrix()), pin.hash)
         << plat.num_cores()
-        << " cores: the influence matrix's last bits moved. chip_sim's "
-           "greedy placement (src/sim/chip_sim.cpp, `peak < best_peak`) "
+        << " cores: the influence matrix's last bits moved. The greedy "
+           "placement (core::PlaceDispersed, `peak < best_peak`) "
            "breaks ties between mirror-image cores on exactly these bits, "
            "so a reordered elimination or a fused multiply-add here "
            "changes which core it picks and fails perfbench's chip_sim "

@@ -109,14 +109,16 @@ TEST(Tsp, MaxLevelWithinBudgetIsMonotoneInBudget) {
   EXPECT_FALSE(tsp.MaxLevelWithinBudget(app, 8, 0.01, &lvl));
 }
 
+// MaxLevelWithinBudget prices a level with the estimator's budget
+// power: leakage at T_DTM.
 TEST(Tsp, CorePowerAtLevelUsesTdtmLeakage) {
-  const Tsp tsp(Plat16());
+  const DarkSiliconEstimator estimator(Plat16());
   const apps::AppProfile& app = apps::AppByName("swaptions");
   const power::VfLevel& vf = Plat16().ladder()[5];
   const double expected = Plat16().power_model().TotalPower(
       app.Activity(8), app.ceff22_nf, app.pind22, vf.vdd, vf.freq,
       Plat16().tdtm_c());
-  EXPECT_NEAR(tsp.CorePowerAtLevel(app, 8, 5), expected, 1e-12);
+  EXPECT_NEAR(estimator.BudgetCorePower(app, 8, 5), expected, 1e-12);
 }
 
 TEST(Tsp, MaxActiveCoresInvertsTheBudget) {

@@ -124,14 +124,6 @@ telemetry::TraceLevel TraceLevelByName(const std::string& name) {
   throw std::invalid_argument("unknown trace level: " + name);
 }
 
-core::MappingPolicy PolicyByName(const std::string& name) {
-  if (name == "contiguous") return core::MappingPolicy::kContiguous;
-  if (name == "spread") return core::MappingPolicy::kSpread;
-  if (name == "checkerboard") return core::MappingPolicy::kCheckerboard;
-  if (name == "densest") return core::MappingPolicy::kDensest;
-  throw std::invalid_argument("unknown mapping policy: " + name);
-}
-
 int CmdInfo() {
   util::Table t({"node", "cores", "die [mm]", "V_nom [V]", "f_nom [GHz]",
                  "core area [mm2]"});
@@ -204,7 +196,7 @@ int CmdEstimate(const util::ArgParser& args) {
       args.GetDouble("freq", plat.tech().nominal_freq);
   const std::size_t level = plat.ladder().LevelAtOrBelow(freq);
   const core::MappingPolicy policy =
-      PolicyByName(args.GetString("mapping", "contiguous"));
+      core::MappingPolicyByName(args.GetString("mapping", "contiguous"));
 
   core::Estimate e;
   if (args.Has("thermal")) {
@@ -236,7 +228,7 @@ int CmdMap(const util::ArgParser& args) {
   const std::size_t count = static_cast<std::size_t>(
       args.GetInt("count", static_cast<int>(plat.num_cores() / 2)));
   const core::MappingPolicy policy =
-      PolicyByName(args.GetString("policy", "spread"));
+      core::MappingPolicyByName(args.GetString("policy", "spread"));
   const auto set = core::SelectCores(plat, count, policy);
   const auto mask = core::ActiveMask(plat.num_cores(), set);
   for (std::size_t r = 0; r < plat.floorplan().rows(); ++r) {
