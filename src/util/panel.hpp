@@ -13,12 +13,13 @@
 // operator is supplied transposed, and every output element is one
 // sequential ascending-c fold: out(j,i) = fold_c of x(j,c) * at(c,i),
 // one fused multiply-add per c, on every build and CPU (the CPU picks
-// vector tiles or detail::PanelFoldPortable at run time; both are
-// correctly rounded, so both give the same bits). Because each element
-// owns exactly one dependency chain, its bits depend only on the
-// contents of column j and the operator -- never on k, on which other
-// jobs share the panel, on column position, or on the register-tile /
-// unroll shape. This is what lets the sweep engine promise
+// one of detail::PanelFoldForms at run time -- AVX-512 or AVX2 tiles,
+// or detail::PanelFoldPortable; all are correctly rounded, so all give
+// the same bits). Because each element owns exactly one dependency
+// chain, its bits depend only on the contents of column j and the
+// operator -- never on k, on which other jobs share the panel, on
+// column position, on the form, or on the register-tile / unroll
+// shape. This is what lets the sweep engine promise
 // byte-identical CSV output at any cohort width and thread count: the
 // scalar lane, and every TransientSimulator, is simply the k = 1
 // instance of the same code.
@@ -117,11 +118,38 @@ void PanelAddBroadcast(std::span<const double> v, std::size_t k,
 
 namespace detail {
 
-/// The fold of every kernel here as a plain std::fma loop over rows
-/// j < k of xs and os (seeded with 0 when `zero`): the fallback on CPUs
-/// without AVX2/FMA, and the tiles' bitwise reference. Shapes unchecked.
+/// The fold over rows j < k of xs and os (seeded with 0 when `zero`).
+/// Shapes unchecked.
+using PanelFold = void (*)(const Matrix& at, const Matrix& xs, std::size_t k,
+                           Matrix& os, bool zero);
+
+/// The fold of every kernel here as a plain std::fma loop: the form on
+/// CPUs without AVX2/FMA, and the bitwise reference of the others.
 void PanelFoldPortable(const Matrix& at, const Matrix& xs, std::size_t k,
                        Matrix& os, bool zero);
+
+/// One way to run the fold: `stream` for k <= 2, `tiles` for k >= 3.
+struct PanelFoldForm {
+  const char* name;
+  PanelFold stream;
+  PanelFold tiles;
+
+  void operator()(const Matrix& at, const Matrix& xs, std::size_t k,
+                  Matrix& os, bool zero) const {
+    (k <= 2 ? stream : tiles)(at, xs, k, os, zero);
+  }
+};
+
+/// Every form this CPU can run, fastest first; the kernels above run
+/// the first, chosen once per process. The forms are
+///   - AVX-512F tiles for k >= 3 and the AVX2 streaming sweep for
+///     k <= 2 (CPUs with AVX-512F, AVX2 and FMA);
+///   - AVX2/FMA tiles for k >= 3 and the same sweep (AVX2 and FMA);
+///   - PanelFoldPortable for every k (always; the last entry).
+/// The sweep serves k <= 2 in both vector forms because it is bound by
+/// the operator stream, which wider lanes do not shorten. Every form
+/// gives PanelFoldPortable's bits.
+std::span<const PanelFoldForm> PanelFoldForms();
 
 }  // namespace detail
 

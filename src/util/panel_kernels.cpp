@@ -12,26 +12,35 @@
 //     out(j, i) = fold over c = 0..n-1 of  x(j, c) * at(c, i)
 //
 // accumulated strictly in ascending c, one fused multiply-add per c.
-// The CPU picks how it runs, once per process: the AVX2/FMA register
-// tiles below (compiled for those instructions per function, so the
-// binary needs neither) where it has them, detail::PanelFoldPortable's
-// std::fma loop elsewhere. A fused multiply-add is correctly rounded,
-// so every build, compiler setting and CPU gets the same bits. The
-// per-element operation sequence depends ONLY on n and the
-// zero/accumulate mode -- never on k, on the register-tile shape, or
-// on the unroll factor -- because each element owns exactly one
-// sequential dependency chain. That is what lets the sweep engine
-// promise bitwise-identical trajectories at any cohort size: the k = 1
-// lane (the sweep's scalar jobs and every TransientSimulator) runs the
-// very same fold. Read with x = A and at = B, the same fold is the
-// row-major product C = A B, which is how Gemm below reuses it.
+// The CPU picks how it runs, once per process, from three forms
+// (detail::PanelFoldForms, fastest first):
+//   - AVX-512F register tiles for k >= 3, with the AVX2 streaming sweep
+//     for k <= 2;
+//   - AVX2/FMA register tiles for k >= 3, with the same streaming
+//     sweep -- the only vector form on CPUs without AVX-512;
+//   - detail::PanelFoldPortable's std::fma loop, the reference and the
+//     form off x86.
+// The vector forms are compiled for their instructions per function,
+// so the binary needs none of them. k <= 2 stays on the AVX2 sweep in
+// every vector form: it streams the operator once and is bound by that
+// stream, which wider lanes do not shorten. A fused multiply-add is
+// correctly rounded, so every build, compiler setting and CPU gets the
+// same bits. The per-element operation sequence depends ONLY on n and
+// the zero/accumulate mode -- never on k, on the form, on the
+// register-tile shape or on the unroll factor -- because each element
+// owns exactly one sequential dependency chain. That is what lets the
+// sweep engine promise bitwise-identical trajectories at any cohort
+// size: the k = 1 lane (the sweep's scalar jobs and every
+// TransientSimulator) runs the very same fold. Read with x = A and
+// at = B, the same fold is the row-major product C = A B, which is how
+// Gemm below reuses it.
 //
 // Speed comes from structure instead of reassociation license: the
-// register tiles below keep 8 independent output accumulators live
-// across the whole c loop, so the operator slab is read once per tile
-// and re-used from L1/L2 across cohort members while the fma ports stay
-// saturated -- turning the memory-bound one-column stream into a
-// compute-bound panel pass.
+// register tiles below keep 8 (AVX2) or 16 (AVX-512) independent output
+// accumulators live across the c loop, so each operator row slice is
+// loaded once per member group and re-used from L1 across the groups
+// while the fma ports stay saturated -- turning the memory-bound
+// one-column stream into a compute-bound panel pass.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -49,11 +58,9 @@
 namespace ds::util {
 namespace {
 
-using PanelFold = void (*)(const Matrix& at, const Matrix& xs, std::size_t k,
-                           Matrix& os, bool zero);
-
 #if defined(__x86_64__)
 #define DS_AVX2_FMA __attribute__((target("avx2,fma")))
+#define DS_AVX512 __attribute__((target("avx512f,avx2,fma")))
 
 /// 8-output x up-to-4-member register tile: one ymm accumulator pair
 /// per member stays live across the full ascending-c loop, each 64-byte
@@ -112,6 +119,22 @@ DS_AVX2_FMA inline void TileScalar(const double* at, std::size_t stride,
   for (std::size_t t = 0; t < w; ++t) o0[t] = s[t];
 }
 
+/// Outputs [i0, m) of every member, fewer than eight: 4-wide tiles,
+/// then the scalar tail. Both tile forms end here.
+DS_AVX2_FMA inline void TailColumns(const double* base, std::size_t m,
+                                    std::size_t n, const Matrix& xs,
+                                    std::size_t k, Matrix& os,
+                                    std::size_t i0, bool zero) {
+  for (; i0 + 4 <= m; i0 += 4)
+    for (std::size_t j = 0; j < k; ++j)
+      Tile4x1(base + i0, m, n, xs.row(j).data(), os.row(j).data() + i0,
+              zero);
+  if (i0 < m)
+    for (std::size_t j = 0; j < k; ++j)
+      TileScalar(base + i0, m, n, xs.row(j).data(), os.row(j).data() + i0,
+                 m - i0, zero);
+}
+
 /// One fused-multiply-add axpy pass: o[0..m) += b * a[0..m). Used by
 /// the streaming (small-k) form; same per-element operation as the
 /// register tiles.
@@ -157,42 +180,44 @@ DS_AVX2_FMA inline void Axpy4Row(const double* a0, const double* a1,
   }
 }
 
-/// out(j, 0..m) (+)= sum_c x(j, c) at(c, 0..m) for j < k. Two shapes,
-/// both the identical ascending-c fused fold per element -- the tiling
-/// is free to change, the per-element bits are not (see file comment):
-///   k <= 2 -- streaming axpy sweep: c outer, so the operator is read
-///             once, sequentially, like a GEMV stream (memory-bound
-///             regime; prefetch-friendly).
-///   k >= 3 -- register tiles: 8-wide output blocks x member groups of
-///             four, c innermost, so accumulators never round-trip
-///             through memory and each L1-resident operator slab is
-///             re-used by every member (compute-bound regime).
-DS_AVX2_FMA void PanelFmaTiles(const Matrix& at, const Matrix& xs,
-                               std::size_t k, Matrix& os, bool zero) {
+/// out(j, 0..m) (+)= sum_c x(j, c) at(c, 0..m) for j < k <= 2: the
+/// streaming axpy sweep. c is outer, so the operator is read once,
+/// sequentially, like a GEMV stream (memory-bound regime;
+/// prefetch-friendly). Every vector form runs k <= 2 here.
+DS_AVX2_FMA void PanelStreamAvx2(const Matrix& at, const Matrix& xs,
+                                 std::size_t k, Matrix& os, bool zero) {
   const std::size_t n = at.rows();
   const std::size_t m = at.cols();
   const double* base = at.row(0).data();
-  if (k <= 2) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double* oj = os.row(j).data();
-      if (zero) std::fill(oj, oj + m, 0.0);
-    }
-    std::size_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-      const double* ac = base + c * m;
-      for (std::size_t j = 0; j < k; ++j) {
-        const double* xj = xs.row(j).data();
-        Axpy4Row(ac, ac + m, ac + 2 * m, ac + 3 * m, xj[c], xj[c + 1],
-                 xj[c + 2], xj[c + 3], os.row(j).data(), m);
-      }
-    }
-    for (; c < n; ++c) {
-      const double* ac = base + c * m;
-      for (std::size_t j = 0; j < k; ++j)
-        AxpyRow(ac, xs.row(j).data()[c], os.row(j).data(), m);
-    }
-    return;
+  for (std::size_t j = 0; j < k; ++j) {
+    double* oj = os.row(j).data();
+    if (zero) std::fill(oj, oj + m, 0.0);
   }
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const double* ac = base + c * m;
+    for (std::size_t j = 0; j < k; ++j) {
+      const double* xj = xs.row(j).data();
+      Axpy4Row(ac, ac + m, ac + 2 * m, ac + 3 * m, xj[c], xj[c + 1],
+               xj[c + 2], xj[c + 3], os.row(j).data(), m);
+    }
+  }
+  for (; c < n; ++c) {
+    const double* ac = base + c * m;
+    for (std::size_t j = 0; j < k; ++j)
+      AxpyRow(ac, xs.row(j).data()[c], os.row(j).data(), m);
+  }
+}
+
+/// The same fold for k >= 3 on AVX2 register tiles: 8-wide output
+/// blocks x member groups of four, c innermost, so accumulators never
+/// round-trip through memory and each L1-resident operator slab is
+/// re-used by every member (compute-bound regime).
+DS_AVX2_FMA void PanelTilesAvx2(const Matrix& at, const Matrix& xs,
+                                std::size_t k, Matrix& os, bool zero) {
+  const std::size_t n = at.rows();
+  const std::size_t m = at.cols();
+  const double* base = at.row(0).data();
   std::size_t i0 = 0;
   for (; i0 + 8 <= m; i0 += 8) {
     std::size_t j = 0;
@@ -216,31 +241,113 @@ DS_AVX2_FMA void PanelFmaTiles(const Matrix& at, const Matrix& xs,
       Tile8<1>(base + i0, m, n, xj, oj, zero);
     }
   }
-  for (; i0 + 4 <= m; i0 += 4)
-    for (std::size_t j = 0; j < k; ++j)
-      Tile4x1(base + i0, m, n, xs.row(j).data(), os.row(j).data() + i0,
-              zero);
-  if (i0 < m)
-    for (std::size_t j = 0; j < k; ++j)
-      TileScalar(base + i0, m, n, xs.row(j).data(), os.row(j).data() + i0,
-                 m - i0, zero);
+  TailColumns(base, m, n, xs, k, os, i0, zero);
+}
+
+/// (8 W)-output x J-member zmm register tile over operator rows
+/// [c0, c1): W accumulators per member stay live across the rows, and
+/// each row slice is loaded once and re-used by every member in the
+/// group. Seeded with 0 or with the output, so a column folded block by
+/// block extends one chain. Per-element order: one fused multiply-add
+/// per c, ascending.
+template <std::size_t W, std::size_t J>
+DS_AVX512 inline void TileZmm(const double* at, std::size_t stride,
+                              std::size_t c0, std::size_t c1,
+                              const double* const* xj, double* const* oj,
+                              bool zero) {
+  __m512d acc[J][W];
+  for (std::size_t t = 0; t < J; ++t)
+    for (std::size_t w = 0; w < W; ++w)
+      acc[t][w] = zero ? _mm512_setzero_pd() : _mm512_loadu_pd(oj[t] + 8 * w);
+  at += c0 * stride;
+  for (std::size_t c = c0; c < c1; ++c, at += stride) {
+    __m512d r[W];
+    for (std::size_t w = 0; w < W; ++w) r[w] = _mm512_loadu_pd(at + 8 * w);
+    for (std::size_t t = 0; t < J; ++t) {
+      const __m512d b = _mm512_set1_pd(xj[t][c]);
+      for (std::size_t w = 0; w < W; ++w)
+        acc[t][w] = _mm512_fmadd_pd(b, r[w], acc[t][w]);
+    }
+  }
+  for (std::size_t t = 0; t < J; ++t)
+    for (std::size_t w = 0; w < W; ++w) _mm512_storeu_pd(oj[t] + 8 * w, acc[t][w]);
+}
+
+/// Outputs [i0, i0 + 8 W) of members [j, k) over rows [c0, c1): groups
+/// of J members, the remainder in groups of J/2, J/4, ..., 1.
+template <std::size_t W, std::size_t J>
+DS_AVX512 inline void TileMembers(const double* at, std::size_t stride,
+                                  std::size_t c0, std::size_t c1,
+                                  const Matrix& xs, Matrix& os,
+                                  std::size_t i0, std::size_t j,
+                                  std::size_t k, bool zero) {
+  for (; j + J <= k; j += J) {
+    const double* xj[J];
+    double* oj[J];
+    for (std::size_t t = 0; t < J; ++t) {
+      xj[t] = xs.row(j + t).data();
+      oj[t] = os.row(j + t).data() + i0;
+    }
+    TileZmm<W, J>(at, stride, c0, c1, xj, oj, zero);
+  }
+  if constexpr (J > 1)
+    if (j < k)
+      TileMembers<W, J / 2>(at, stride, c0, c1, xs, os, i0, j, k, zero);
+}
+
+/// Operator rows per block of an AVX-512 output column. A 32-wide block
+/// (16 KB) stays in L1 beside the members' x slices and outputs while
+/// every member group reads it.
+constexpr std::size_t kRowBlock = 64;
+
+/// Outputs [i0, i0 + 8 W) of every member, blocks of kRowBlock rows in
+/// ascending order. Each block continues the chain the block before it
+/// stored, so the blocking moves no bit.
+template <std::size_t W, std::size_t J>
+DS_AVX512 inline void ZmmColumn(const double* at, std::size_t m,
+                                std::size_t n, const Matrix& xs,
+                                std::size_t k, Matrix& os, std::size_t i0,
+                                bool zero) {
+  std::size_t c0 = 0;
+  do {
+    const std::size_t c1 = std::min(n, c0 + kRowBlock);
+    TileMembers<W, J>(at, m, c0, c1, xs, os, i0, 0, k, zero && c0 == 0);
+    c0 = c1;
+  } while (c0 < n);
+}
+
+/// The same fold for k >= 3 on AVX-512 register tiles: 32-wide output
+/// columns (four zmm) x member groups of four, then one 16-wide and one
+/// 8-wide column (member groups of eight), then the AVX2 4-wide and
+/// scalar tails. Measured on the 16/11/8 nm step operators against
+/// 16x8 and 32x6 tiles and unblocked columns, this one rule was the
+/// fastest or within 7% of it at k = 3, 4, 8 and 16 on every node, and
+/// 1.5-1.9x the AVX2 tiles.
+DS_AVX512 void PanelTilesAvx512(const Matrix& at, const Matrix& xs,
+                                std::size_t k, Matrix& os, bool zero) {
+  const std::size_t n = at.rows();
+  const std::size_t m = at.cols();
+  const double* base = at.row(0).data();
+  std::size_t i0 = 0;
+  for (; i0 + 32 <= m; i0 += 32)
+    ZmmColumn<4, 4>(base + i0, m, n, xs, k, os, i0, zero);
+  if (i0 + 16 <= m) {
+    ZmmColumn<2, 8>(base + i0, m, n, xs, k, os, i0, zero);
+    i0 += 16;
+  }
+  if (i0 + 8 <= m) {
+    ZmmColumn<1, 8>(base + i0, m, n, xs, k, os, i0, zero);
+    i0 += 8;
+  }
+  TailColumns(base, m, n, xs, k, os, i0, zero);
 }
 
 #endif
-
-PanelFold SelectPanelFold() {
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return PanelFmaTiles;
-#endif
-  return detail::PanelFoldPortable;
-}
 
 void PanelImplT(const Matrix& at, const Matrix& xs, std::size_t k,
                 Matrix& os, bool zero) {
-  static const PanelFold fold = SelectPanelFold();
-  fold(at, xs, k, os, zero);
+  static const detail::PanelFoldForm& form = detail::PanelFoldForms()[0];
+  form(at, xs, k, os, zero);
 }
 
 void CheckPanelShapes(const Matrix& at, const ColPanel& x, std::size_t k,
@@ -282,6 +389,31 @@ void PanelFoldPortable(const Matrix& at, const Matrix& xs, std::size_t k,
       for (std::size_t i = 0; i < m; ++i) oj[i] = std::fma(b, ac[i], oj[i]);
     }
   }
+}
+
+std::span<const PanelFoldForm> PanelFoldForms() {
+  struct Forms {
+    PanelFoldForm form[3] = {};
+    std::size_t count = 0;
+  };
+  static const Forms forms = [] {
+    Forms f;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    const bool avx2 =
+        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    if (avx2 && __builtin_cpu_supports("avx512f"))
+      f.form[f.count++] = {"avx512 tiles (k >= 3), avx2 stream (k <= 2)",
+                           PanelStreamAvx2, PanelTilesAvx512};
+    if (avx2)
+      f.form[f.count++] = {"avx2 tiles (k >= 3), avx2 stream (k <= 2)",
+                           PanelStreamAvx2, PanelTilesAvx2};
+#endif
+    f.form[f.count++] = {"portable std::fma loop (every k)",
+                         PanelFoldPortable, PanelFoldPortable};
+    return f;
+  }();
+  return {forms.form, forms.count};
 }
 
 }  // namespace detail

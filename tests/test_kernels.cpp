@@ -1,14 +1,16 @@
 // GEMM and the multi-RHS LU solve, checked against naive reference
 // implementations on sizes chosen to exercise every blocking remainder:
-// the panel fold's 8-wide output tiles and 4-member groups (non-square
-// and odd shapes) and the 128-wide RHS panels of SolveMany. The AVX2/FMA
-// tiles are also checked bit for bit against the portable fold.
+// the panel fold's output tiles and member groups (non-square and odd
+// shapes) and the 128-wide RHS panels of SolveMany. Every form of the
+// fold this CPU can run is also checked bit for bit against the
+// portable fold.
 #include "util/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <iostream>
 #include <vector>
 
 #include "util/lu.hpp"
@@ -58,9 +60,10 @@ Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
 
 TEST(Kernels, GemmMatchesNaive) {
   Fill fill(7);
-  // Shapes hit every form of the panel fold: the k <= 2 streaming
-  // sweep (m = 1), 4-member groups with 2/1 remainders, 8-wide output
-  // tiles with 4-wide and scalar tails, and non-square operands.
+  // Shapes hit every path of the selected panel fold: the k <= 2
+  // streaming sweep (m = 1), member groups with remainders, wide output
+  // tiles with narrower and scalar tails, operator rows past one block,
+  // and non-square operands.
   const struct {
     std::size_t m, k, n;
   } shapes[] = {{1, 1, 1}, {3, 5, 2}, {16, 16, 16},
@@ -108,57 +111,72 @@ Matrix UnfusedFold(const Matrix& at, const Matrix& xs, std::size_t k) {
   return os;
 }
 
-// The kernels run the AVX2/FMA tiles when the CPU has them, and
-// detail::PanelFoldPortable otherwise; both must give the same bits.
-// Operator rows n, outputs m and members k reach every tile path: the
-// k <= 2 streaming sweep with and without its four-c unroll, 4-member
-// groups with 2/1 remainders, 8-wide tiles with 4-wide and scalar
-// tails.
+// Every form of the fold this CPU can run (detail::PanelFoldForms:
+// AVX-512 tiles, AVX2 tiles, the portable loop), not only the one the
+// kernels select, must give detail::PanelFoldPortable's bits. Operator
+// rows n, outputs m and members k reach every path: the k <= 2
+// streaming sweep with and without its four-c unroll; the AVX-512
+// 32-wide columns with 4/2/1-member groups, the 16- and 8-wide columns
+// with 8/4/2/1-member groups, and operator rows past one 64-row block;
+// the AVX2 8-wide tiles with 4/2/1-member groups; the 4-wide and scalar
+// tails. A zero-seeded fold writes over stale output.
 TEST(Kernels, FmaTilesMatchPortableFoldBitwise) {
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  const bool tiles =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  const bool tiles = false;
-#endif
-  if (!tiles) GTEST_SKIP() << "CPU lacks AVX2/FMA: the portable fold runs";
+  const std::span<const detail::PanelFoldForm> forms =
+      detail::PanelFoldForms();
+  ASSERT_FALSE(forms.empty());
+  EXPECT_EQ(forms.back().tiles, &detail::PanelFoldPortable);
+  for (const detail::PanelFoldForm& form : forms)
+    std::cout << "[   FORM   ] " << form.name << "\n";
   Fill fill(13);
   bool unfused_differs = false;
-  for (const std::size_t n : {1, 5, 37})
-    for (const std::size_t m : {1, 3, 4, 7, 8, 12, 13, 41})
-      for (const std::size_t k : {1, 2, 3, 4, 5, 7, 8, 16}) {
+  for (const std::size_t n : {1, 5, 37, 130})
+    for (const std::size_t m :
+         {1, 3, 4, 7, 8, 12, 13, 15, 16, 17, 24, 25, 33, 41, 63})
+      for (const std::size_t k :
+           {1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24}) {
         SCOPED_TRACE(testing::Message()
                      << "n " << n << " m " << m << " k " << k);
         const Matrix at = fill.Make(n, m);
-        ColPanel x(n, k);
-        x.storage() = fill.Make(k, n);
+        const Matrix xs = fill.Make(k, n);
         Matrix ref(k, m);
-        detail::PanelFoldPortable(at, x.storage(), k, ref, /*zero=*/true);
-
-        ColPanel out(m, k);
-        PanelApplyT(at, x, k, &out);
-        EXPECT_TRUE(SameBits(out.storage(), ref)) << "PanelApplyT";
-
-        ColPanel acc(m, k);
-        acc.storage() = fill.Make(k, m);
-        Matrix acc_ref = acc.storage();
-        detail::PanelFoldPortable(at, x.storage(), k, acc_ref,
-                                  /*zero=*/false);
-        PanelApplyAddT(at, x, k, &acc);
-        EXPECT_TRUE(SameBits(acc.storage(), acc_ref)) << "PanelApplyAddT";
-
+        detail::PanelFoldPortable(at, xs, k, ref, /*zero=*/true);
+        const Matrix seed = fill.Make(k, m);
+        Matrix acc_ref = seed;
+        detail::PanelFoldPortable(at, xs, k, acc_ref, /*zero=*/false);
         // Gemm(a, b) is the fold with x = a and at = b.
         const Matrix a = fill.Make(k, n);
         const Matrix b = fill.Make(n, m);
         Matrix gemm_ref(k, m);
         detail::PanelFoldPortable(b, a, k, gemm_ref, /*zero=*/true);
+
+        for (const detail::PanelFoldForm& form : forms) {
+          SCOPED_TRACE(form.name);
+          Matrix out = fill.Make(k, m);
+          form(at, xs, k, out, /*zero=*/true);
+          EXPECT_TRUE(SameBits(out, ref)) << "PanelApplyT";
+          Matrix acc = seed;
+          form(at, xs, k, acc, /*zero=*/false);
+          EXPECT_TRUE(SameBits(acc, acc_ref)) << "PanelApplyAddT";
+          Matrix c = fill.Make(k, m);
+          form(b, a, k, c, /*zero=*/true);
+          EXPECT_TRUE(SameBits(c, gemm_ref)) << "Gemm";
+        }
+
+        // The kernels themselves run the selected form.
+        ColPanel x(n, k);
+        x.storage() = xs;
+        ColPanel out(m, k);
+        PanelApplyT(at, x, k, &out);
+        EXPECT_TRUE(SameBits(out.storage(), ref)) << "PanelApplyT";
+        ColPanel acc(m, k);
+        acc.storage() = seed;
+        PanelApplyAddT(at, x, k, &acc);
+        EXPECT_TRUE(SameBits(acc.storage(), acc_ref)) << "PanelApplyAddT";
         Matrix c(k, m);
         Gemm(a, b, &c);
         EXPECT_TRUE(SameBits(c, gemm_ref)) << "Gemm";
 
-        if (!SameBits(UnfusedFold(at, x.storage(), k), ref))
-          unfused_differs = true;
+        if (!SameBits(UnfusedFold(at, xs, k), ref)) unfused_differs = true;
       }
   // Otherwise the inputs could not tell a fused fold from an unfused one.
   EXPECT_TRUE(unfused_differs);

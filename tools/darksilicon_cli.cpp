@@ -1,7 +1,8 @@
 // darksilicon -- command-line driver for the library.
 //
 // Subcommands:
-//   info                               platforms, applications, ladders
+//   info                               platforms, applications, and the
+//                                      panel fold form this CPU runs
 //   tsp <node> [--count m] [--mapping worst|spread]
 //   estimate <node> <app> [--tdp W] [--thermal] [--threads n] [--freq f]
 //            [--mapping contiguous|spread|checkerboard|densest]
@@ -56,6 +57,7 @@
 #include "uarch/characterize.hpp"
 #include "util/args.hpp"
 #include "util/contracts.hpp"
+#include "util/panel.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -154,6 +156,8 @@ int CmdInfo() {
   }
   std::cout << "\n";
   a.Print(std::cout);
+  std::cout << "\npanel fold: " << util::detail::PanelFoldForms()[0].name
+            << "\n";
   return 0;
 }
 
@@ -162,7 +166,11 @@ int CmdTsp(const util::ArgParser& args) {
   const arch::Platform plat = arch::Platform::PaperPlatform(
       power::TechByName(args.positionals()[1]).node);
   const core::Tsp tsp(plat);
-  const bool spread = args.GetString("mapping", "worst") == "spread";
+  const std::string mapping = args.GetString("mapping", "worst");
+  if (mapping != "worst" && mapping != "spread")
+    throw std::invalid_argument("unknown tsp mapping '" + mapping +
+                                "' (worst|spread)");
+  const bool spread = mapping == "spread";
   const int count = args.GetInt("count", 0);
   auto budget = [&](std::size_t m) {
     return spread ? tsp.BestCase(m) : tsp.WorstCase(m);
