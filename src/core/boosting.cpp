@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/scoped.hpp"
 #include "thermal/steady_state.hpp"
@@ -19,11 +20,47 @@ BoostingSimulator::BoostingSimulator(const arch::Platform& platform,
       app_(&app),
       instances_(instances),
       threads_(threads),
+      activity_(app.Activity(threads)),
       estimator_(platform) {
   if (instances * threads > platform.num_cores())
     throw std::invalid_argument(
         "BoostingSimulator: workload does not fit the chip");
   active_set_ = SelectCores(platform, instances * threads, policy);
+  chip_domain_ = DomainOfCore(std::vector<std::size_t>(instances, 0));
+}
+
+std::vector<std::size_t> BoostingSimulator::DomainOfCore(
+    std::span<const std::size_t> domain_of_instance) const {
+  std::vector<std::size_t> domain(platform_->num_cores(), kDark);
+  for (std::size_t i = 0; i < instances_; ++i)
+    for (std::size_t t = 0; t < threads_; ++t)
+      domain[active_set_[i * threads_ + t]] = domain_of_instance[i];
+  return domain;
+}
+
+void BoostingSimulator::PowersAt(std::span<const std::size_t> domain_of_core,
+                                 std::span<const std::size_t> levels,
+                                 std::span<const double> die_temps,
+                                 std::span<double> out) const {
+  const power::PowerModel& pm = platform_->power_model();
+  const power::DvfsLadder& ladder = platform_->ladder();
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    const std::size_t d = domain_of_core[c];
+    if (d == kDark) {
+      out[c] = pm.DarkCorePower(die_temps[c]);
+    } else {
+      const power::VfLevel& vf = ladder[levels[d]];
+      out[c] = pm.TotalPower(activity_, app_->ceff22_nf, app_->pind22,
+                             vf.vdd, vf.freq, die_temps[c]);
+    }
+  }
+}
+
+std::vector<double> BoostingSimulator::CorePowersAt(
+    std::size_t level, std::span<const double> die_temps) const {
+  std::vector<double> p(platform_->num_cores());
+  PowersAt(chip_domain_, {&level, 1}, die_temps, p);
+  return p;
 }
 
 apps::Workload BoostingSimulator::WorkloadAtLevel(std::size_t level) const {
@@ -61,168 +98,51 @@ bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
   return found;
 }
 
-BoostingSimulator::WarmStart BoostingSimulator::SteadyWarmStart(
+std::vector<double> BoostingSimulator::SteadyWarmStart(
     std::size_t level) const {
-  const thermal::SteadyStateSolver& solver = platform_->solver();
+  std::vector<double> powers = CorePowersAt(
+      level, std::vector<double>(platform_->num_cores(),
+                                 platform_->thermal_model().ambient_c()));
+  for (int pass = 1; pass < 3; ++pass)
+    powers = CorePowersAt(level, platform_->solver().Solve(powers));
+  return powers;
+}
+
+BoostTrace BoostingSimulator::RunLoop(const BoostLaw& law,
+                                      std::size_t start_level,
+                                      double duration_s,
+                                      double control_period_s) const {
+  BoostLoop loop(*this, law, start_level, duration_s, control_period_s);
+  thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
+  sim.InitializeSteadyState(SteadyWarmStart(start_level), platform_->solver());
   const std::size_t n = platform_->num_cores();
-  std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-  WarmStart warm;
-  for (int it = 0; it < 3; ++it) {
-    warm.powers = CorePowers(level, temps);
-    warm.state = solver.SolveFull(warm.powers);
-    temps.assign(warm.state.begin(),
-                 warm.state.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  return warm;
+  for (std::size_t s = 0; s < loop.steps(); ++s)
+    sim.Step(loop.Control(sim.state().first(n)));
+  return loop.Finish(sim.state().first(n));
+}
+
+BoostTrace BoostingSimulator::RunBoosting(
+    std::size_t start_level, double threshold_c, double power_cap_w,
+    double duration_s, double control_period_s) const {
+  DS_TELEM_SPAN_ARG("controller", "boosting_run",
+                    ds::telemetry::TraceLevel::kSpan, "duration_s",
+                    duration_s);
+  return RunLoop({BoostLaw::Kind::kTurbo, threshold_c, power_cap_w},
+                 start_level, duration_s, control_period_s);
 }
 
 BoostTrace BoostingSimulator::RunPerInstanceBoosting(
     std::size_t start_level, double threshold_c, double power_cap_w,
     double duration_s, double control_period_s) const {
-  const power::DvfsLadder& ladder = platform_->ladder();
-  const power::PowerModel& pm = platform_->power_model();
-  const std::size_t n = platform_->num_cores();
-  thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  sim.SetState(SteadyWarmStart(start_level).state);
-
-  // Per-instance domain levels and core ownership.
-  std::vector<std::size_t> domain_level(instances_, start_level);
-  std::vector<std::size_t> domain_of(n, instances_);  // sentinel = dark
-  for (std::size_t i = 0; i < instances_; ++i)
-    for (std::size_t t = 0; t < threads_; ++t)
-      domain_of[active_set_[i * threads_ + t]] = i;
-  const double activity = app_->Activity(threads_);
-
-  auto powers_at = [&](const std::vector<double>& temps) {
-    std::vector<double> p(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::size_t d = domain_of[c];
-      if (d == instances_) {
-        p[c] = pm.DarkCorePower(temps[c]);
-      } else {
-        const power::VfLevel& vf = ladder[domain_level[d]];
-        p[c] = pm.TotalPower(activity, app_->ceff22_nf, app_->pind22,
-                             vf.vdd, vf.freq, temps[c]);
-      }
-    }
-    return p;
-  };
-
-  const std::size_t steps =
-      static_cast<std::size_t>(std::lround(duration_s / control_period_s));
-  BoostTrace trace;
-  trace.duration_s = duration_s;
-  const std::size_t stride = std::max<std::size_t>(1, steps / 1000);
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-
-  for (std::size_t s = 0; s < steps; ++s) {
-    const std::vector<double> temps = sim.DieTemps();
-    // Per-domain control from each domain's hottest core.
-    double total_now = 0.0;
-    for (const double p : powers_at(temps)) total_now += p;
-    for (std::size_t d = 0; d < instances_; ++d) {
-      double hottest = 0.0;
-      for (std::size_t t = 0; t < threads_; ++t)
-        hottest =
-            std::max(hottest, temps[active_set_[d * threads_ + t]]);
-      if (hottest >= threshold_c) {
-        domain_level[d] = ladder.StepDown(domain_level[d]);
-      } else if (total_now < power_cap_w) {
-        domain_level[d] = ladder.StepUp(domain_level[d]);
-      }
-    }
-
-    const std::vector<double> powers = powers_at(temps);
-    double total_power = 0.0;
-    for (const double p : powers) total_power += p;
-    sim.Step(powers);
-
-    double gips = 0.0;
-    for (std::size_t d = 0; d < instances_; ++d)
-      gips += app_->InstanceGips(threads_, ladder[domain_level[d]].freq);
-    gips_acc += gips;
-    energy_acc += total_power * control_period_s;
-    trace.max_power_w = std::max(trace.max_power_w, total_power);
-    trace.max_temp_c = std::max(trace.max_temp_c, sim.PeakDieTemp());
-    if (s % stride == 0) {
-      trace.time_s.push_back(sim.time());
-      trace.gips.push_back(gips);
-      trace.peak_temp_c.push_back(sim.PeakDieTemp());
-      trace.power_w.push_back(total_power);
-    }
-  }
-  trace.avg_gips = gips_acc / static_cast<double>(steps);
-  trace.energy_j = energy_acc;
-  trace.avg_power_w = energy_acc / duration_s;
-  return trace;
+  return RunLoop({BoostLaw::Kind::kPerInstance, threshold_c, power_cap_w},
+                 start_level, duration_s, control_period_s);
 }
 
-BoostTrace BoostingSimulator::RunRaplBoosting(std::size_t start_level,
-                                              double pl1_w, double pl2_w,
-                                              double tau_s,
-                                              double threshold_c,
-                                              double duration_s,
-                                              double control_period_s) const {
-  const power::DvfsLadder& ladder = platform_->ladder();
-  thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  sim.SetState(SteadyWarmStart(start_level).state);
-
-  std::size_t level = start_level;
-  const double alpha = control_period_s / tau_s;  // EWMA coefficient
-  double ewma = 0.0;
-  {
-    std::vector<double> temps = sim.DieTemps();
-    for (const double p : CorePowers(level, temps)) ewma += p;
-  }
-
-  const std::size_t steps =
-      static_cast<std::size_t>(std::lround(duration_s / control_period_s));
-  BoostTrace trace;
-  trace.duration_s = duration_s;
-  const std::size_t stride = std::max<std::size_t>(1, steps / 1000);
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-
-  for (std::size_t s = 0; s < steps; ++s) {
-    std::vector<double> temps = sim.DieTemps();
-    // Control: thermal backstop first, then the power-limit logic.
-    if (sim.PeakDieTemp() > threshold_c) {
-      level = ladder.StepDown(level);
-    } else if (ewma > pl1_w) {
-      level = ladder.StepDown(level);
-    } else {
-      const std::size_t up = ladder.StepUp(level);
-      if (up != level) {
-        const std::vector<double> p_up = CorePowers(up, temps);
-        double total_up = 0.0;
-        for (const double p : p_up) total_up += p;
-        if (total_up <= pl2_w) level = up;  // bursts may reach PL2
-      }
-    }
-
-    const std::vector<double> powers = CorePowers(level, temps);
-    double total_power = 0.0;
-    for (const double p : powers) total_power += p;
-    ewma += alpha * (total_power - ewma);
-    sim.Step(powers);
-
-    const double gips = GipsAtLevel(level);
-    gips_acc += gips;
-    energy_acc += total_power * control_period_s;
-    trace.max_power_w = std::max(trace.max_power_w, total_power);
-    trace.max_temp_c = std::max(trace.max_temp_c, sim.PeakDieTemp());
-    if (s % stride == 0) {
-      trace.time_s.push_back(sim.time());
-      trace.gips.push_back(gips);
-      trace.peak_temp_c.push_back(sim.PeakDieTemp());
-      trace.power_w.push_back(total_power);
-    }
-  }
-  trace.avg_gips = gips_acc / static_cast<double>(steps);
-  trace.energy_j = energy_acc;
-  trace.avg_power_w = energy_acc / duration_s;
-  return trace;
+BoostTrace BoostingSimulator::RunRaplBoosting(
+    std::size_t start_level, double pl1_w, double pl2_w, double tau_s,
+    double threshold_c, double duration_s, double control_period_s) const {
+  return RunLoop({BoostLaw::Kind::kRapl, threshold_c, pl2_w, pl1_w, tau_s},
+                 start_level, duration_s, control_period_s);
 }
 
 BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
@@ -285,23 +205,6 @@ BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
   return out;
 }
 
-std::vector<double> BoostingSimulator::CorePowers(
-    std::size_t level, std::vector<double>& die_temps) const {
-  const power::VfLevel& vf = platform_->ladder()[level];
-  const power::PowerModel& pm = platform_->power_model();
-  const double activity = app_->Activity(threads_);
-  std::vector<double> p(platform_->num_cores());
-  std::vector<bool> active(platform_->num_cores(), false);
-  for (const std::size_t i : active_set_) active[i] = true;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = active[i]
-               ? pm.TotalPower(activity, app_->ceff22_nf, app_->pind22,
-                               vf.vdd, vf.freq, die_temps[i])
-               : pm.DarkCorePower(die_temps[i]);
-  }
-  return p;
-}
-
 BoostTrace BoostingSimulator::RunConstant(std::size_t level,
                                           double duration_s) const {
   // At a fixed level the trajectory starting from its own steady state
@@ -327,75 +230,139 @@ BoostTrace BoostingSimulator::RunConstant(std::size_t level,
   return trace;
 }
 
-BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
-                                          double threshold_c,
-                                          double power_cap_w,
-                                          double duration_s,
-                                          double control_period_s) const {
-  DS_TELEM_SPAN_ARG("controller", "boosting_run",
-                    ds::telemetry::TraceLevel::kSpan, "duration_s",
-                    duration_s);
-  const power::DvfsLadder& ladder = platform_->ladder();
-  thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  // Warm start from the steady state of the starting level.
-  sim.SetState(SteadyWarmStart(start_level).state);
+BoostLoop::BoostLoop(const BoostingSimulator& sim, const BoostLaw& law,
+                     std::size_t start_level, double duration_s,
+                     double control_period_s)
+    : sim_(&sim), law_(law), period_s_(control_period_s) {
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  DS_REQUIRE(positive(duration_s) && positive(control_period_s),
+             "BoostLoop: duration " << duration_s << " s and control period "
+                 << control_period_s << " s must be finite and positive");
+  DS_REQUIRE(law.kind != BoostLaw::Kind::kRapl || positive(law.tau_s),
+             "BoostLoop: RAPL window " << law.tau_s
+                                       << " s must be finite and positive");
+  const power::DvfsLadder& ladder = sim.platform_->ladder();
+  DS_REQUIRE(start_level < ladder.size(),
+             "BoostLoop: start level " << start_level << " of "
+                                       << ladder.size());
+  steps_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::lround(duration_s / control_period_s)));
+  stride_ = std::max<std::size_t>(1, steps_ / 1000);
 
-  std::size_t level = start_level;
-  const std::size_t steps =
-      static_cast<std::size_t>(std::lround(duration_s / control_period_s));
-  BoostTrace trace;
-  trace.duration_s = duration_s;
-  const std::size_t stride = std::max<std::size_t>(1, steps / 1000);
+  const bool per_instance = law.kind == BoostLaw::Kind::kPerInstance;
+  for (std::size_t i = 0; i < sim.instances_; ++i)
+    domain_of_instance_.push_back(per_instance ? i : 0);
+  domain_of_core_ = sim.DomainOfCore(domain_of_instance_);
+  levels_.assign(per_instance ? sim.instances_ : 1, start_level);
+  powers_.resize(sim.platform_->num_cores());
+  for (std::vector<double>* v : {&trace_.time_s, &trace_.gips,
+                                 &trace_.peak_temp_c, &trace_.power_w})
+    v->reserve((steps_ + stride_ - 1) / stride_);
+  trace_.duration_s = duration_s;
+}
 
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-  for (std::size_t s = 0; s < steps; ++s) {
-    // Control decision from the temperature at the period start.
-    const double peak = sim.PeakDieTemp();
-    const std::size_t prev_level = level;
-    if (peak < threshold_c) {
-      const std::size_t up = ladder.StepUp(level);
-      if (up != level) {
-        // Respect the electrical power constraint at the higher level.
-        std::vector<double> temps = sim.DieTemps();
-        const std::vector<double> p_up = CorePowers(up, temps);
-        double total_up = 0.0;
-        for (const double p : p_up) total_up += p;
-        if (total_up <= power_cap_w) level = up;
+double BoostLoop::TotalPower(std::span<const double> die_temps) {
+  sim_->PowersAt(domain_of_core_, levels_, die_temps, powers_);
+  double total = 0.0;
+  for (const double p : powers_) total += p;
+  return total;
+}
+
+void BoostLoop::MoveTo(std::size_t d, std::size_t level) {
+  if (level == levels_[d]) return;
+  DS_TELEM_COUNT("boost.level_changes", 1);
+  ds::telemetry::EmitInstant(
+      "controller", level > levels_[d] ? "boost_up" : "boost_down",
+      ds::telemetry::TraceLevel::kDecision, "freq_ghz",
+      sim_->platform_->ladder()[level].freq, "sim_time_s", time_s_);
+  levels_[d] = level;
+}
+
+void BoostLoop::Decide(double peak, std::span<const double> die_temps) {
+  const power::DvfsLadder& ladder = sim_->platform_->ladder();
+  if (law_.kind == BoostLaw::Kind::kPerInstance) {
+    // Each domain by its hottest core, up only under the power cap.
+    const double total_now = TotalPower(die_temps);
+    for (std::size_t d = 0; d < levels_.size(); ++d) {
+      double hottest = 0.0;
+      for (std::size_t c = 0; c < die_temps.size(); ++c)
+        if (domain_of_core_[c] == d) hottest = std::max(hottest, die_temps[c]);
+      if (hottest >= law_.threshold_c) {
+        MoveTo(d, ladder.StepDown(levels_[d]));
+      } else if (total_now < law_.power_cap_w) {
+        MoveTo(d, ladder.StepUp(levels_[d]));
       }
-    } else {
-      level = ladder.StepDown(level);
     }
-    if (level != prev_level) {
-      DS_TELEM_COUNT("boost.level_changes", 1);
-      ds::telemetry::EmitInstant(
-          "controller", level > prev_level ? "boost_up" : "boost_down",
-          ds::telemetry::TraceLevel::kDecision, "freq_ghz",
-          ladder[level].freq, "sim_time_s", sim.time());
-    }
-
-    std::vector<double> temps = sim.DieTemps();
-    const std::vector<double> powers = CorePowers(level, temps);
-    double total_power = 0.0;
-    for (const double p : powers) total_power += p;
-    sim.Step(powers);
-
-    const double gips = GipsAtLevel(level);
-    gips_acc += gips;
-    energy_acc += total_power * control_period_s;
-    trace.max_power_w = std::max(trace.max_power_w, total_power);
-    trace.max_temp_c = std::max(trace.max_temp_c, sim.PeakDieTemp());
-    if (s % stride == 0) {
-      trace.time_s.push_back(sim.time());
-      trace.gips.push_back(gips);
-      trace.peak_temp_c.push_back(sim.PeakDieTemp());
-      trace.power_w.push_back(total_power);
-    }
+    return;
   }
-  trace.avg_gips = gips_acc / static_cast<double>(steps);
-  trace.energy_j = energy_acc;
-  trace.avg_power_w = energy_acc / duration_s;
-  return trace;
+  // RAPL's power average starts at the warm start's power.
+  if (law_.kind == BoostLaw::Kind::kRapl && s_ == 0)
+    ewma_w_ = TotalPower(die_temps);
+  const bool down = law_.kind == BoostLaw::Kind::kTurbo
+                        ? !(peak < law_.threshold_c)
+                        : peak > law_.threshold_c || ewma_w_ > law_.pl1_w;
+  const std::size_t level = levels_[0];
+  if (down) {
+    MoveTo(0, ladder.StepDown(level));
+    return;
+  }
+  const std::size_t up = ladder.StepUp(level);
+  if (up == level) return;
+  levels_[0] = up;
+  const bool fits = TotalPower(die_temps) <= law_.power_cap_w;
+  levels_[0] = level;
+  if (fits) MoveTo(0, up);
+}
+
+void BoostLoop::RecordStepEnd(double peak) {
+  trace_.max_temp_c = std::max(trace_.max_temp_c, peak);
+  if ((s_ - 1) % stride_ == 0) {
+    trace_.time_s.push_back(time_s_);
+    trace_.peak_temp_c.push_back(peak);
+  }
+}
+
+std::span<const double> BoostLoop::Control(
+    std::span<const double> die_temps) {
+  DS_REQUIRE(s_ < steps_ && die_temps.size() == powers_.size(),
+             "BoostLoop::Control: period " << s_ << " of " << steps_ << ", "
+                 << die_temps.size() << " die temperatures");
+  const double peak = *std::max_element(die_temps.begin(), die_temps.end());
+  if (s_ == 0) {
+    warm_peak_c_ = peak;
+  } else {
+    RecordStepEnd(peak);
+  }
+  Decide(peak, die_temps);
+
+  const double total = TotalPower(die_temps);
+  if (law_.kind == BoostLaw::Kind::kRapl)
+    ewma_w_ += period_s_ / law_.tau_s * (total - ewma_w_);
+  // Bitwise Workload::TotalGips when every domain is at one level.
+  const power::DvfsLadder& ladder = sim_->platform_->ladder();
+  double gips = 0.0;
+  for (const std::size_t d : domain_of_instance_)
+    gips += sim_->app_->InstanceGips(sim_->threads_, ladder[levels_[d]].freq);
+  gips_acc_ += gips;
+  trace_.energy_j += total * period_s_;
+  trace_.max_power_w = std::max(trace_.max_power_w, total);
+  if (s_ % stride_ == 0) {
+    trace_.gips.push_back(gips);
+    trace_.power_w.push_back(total);
+  }
+  time_s_ += period_s_;
+  ++s_;
+  return powers_;
+}
+
+BoostTrace BoostLoop::Finish(std::span<const double> die_temps) {
+  DS_REQUIRE(s_ == steps_ && die_temps.size() == powers_.size(),
+             "BoostLoop::Finish: " << s_ << " of " << steps_ << " periods, "
+                 << die_temps.size() << " die temperatures");
+  RecordStepEnd(*std::max_element(die_temps.begin(), die_temps.end()));
+  trace_.avg_gips = gips_acc_ / static_cast<double>(steps_);
+  trace_.avg_power_w = trace_.energy_j / trace_.duration_s;
+  return std::move(trace_);
 }
 
 }  // namespace ds::core

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "apps/app_profile.hpp"
@@ -34,6 +35,19 @@ struct BoostTrace {
   double energy_j = 0.0;
   double duration_s = 0.0;
 };
+
+/// A boost control law and its parameters: RunBoosting's (kTurbo),
+/// RunPerInstanceBoosting's or RunRaplBoosting's.
+struct BoostLaw {
+  enum class Kind { kTurbo, kPerInstance, kRapl };
+  Kind kind = Kind::kTurbo;
+  double threshold_c = 0.0;
+  double power_cap_w = 0.0;  // RAPL's PL2
+  double pl1_w = 0.0;        // RAPL only
+  double tau_s = 0.0;        // RAPL only
+};
+
+class BoostLoop;
 
 /// Simulates a homogeneous workload (m instances of one application,
 /// n threads each) under chip-wide DVFS control.
@@ -106,44 +120,94 @@ class BoostingSimulator {
   double GipsAtLevel(std::size_t level) const;
 
   /// Per-core power vector of the active mapping at `level` given the
-  /// current die temperatures (leakage feedback) -- the same numbers
-  /// the internal closed loops step with. Public for the batched
-  /// transient boosting runner (runtime/scenarios.cpp),
-  /// which drives cohort members through a shared lockstep stepper
-  /// outside this class.
+  /// die temperatures (leakage feedback): the powers a chip-wide
+  /// BoostLoop steps with. perfbench/layers.cpp names it.
   std::vector<double> CorePowersAt(std::size_t level,
-                                   std::vector<double>& die_temps) const {
-    return CorePowers(level, die_temps);
-  }
+                                   std::span<const double> die_temps) const;
 
   /// Steady-state estimate at a ladder level (power, peak temperature).
   Estimate SteadyAtLevel(std::size_t level) const;
 
-  /// The warm start every closed loop begins from: three leakage /
-  /// temperature fixed-point passes at `level`, each the powers at the
-  /// current die temperatures (ambient first) and then their steady
-  /// state on the platform's factored solver, so it factors nothing.
-  /// The batched sweep runner starts its cohort members from the same
-  /// state and powers, so every lane starts bitwise alike.
-  struct WarmStart {
-    std::vector<double> state;   // all node temperatures [C]
-    std::vector<double> powers;  // per-core powers of the last pass [W]
-  };
-  WarmStart SteadyWarmStart(std::size_t level) const;
-
-  std::size_t active_cores() const { return active_set_.size(); }
+  /// The per-core powers every closed loop warm-starts from (at their
+  /// steady state, on the platform's solver): three leakage fixed-point
+  /// passes at `level`, each the powers at the die temperatures the
+  /// last pass solved to (ambient first).
+  std::vector<double> SteadyWarmStart(std::size_t level) const;
 
  private:
+  friend class BoostLoop;
+
+  static constexpr std::size_t kDark = static_cast<std::size_t>(-1);
+
   apps::Workload WorkloadAtLevel(std::size_t level) const;
-  std::vector<double> CorePowers(std::size_t level,
-                                 std::vector<double>& die_temps) const;
+  /// Instance i's cores in domain_of_instance[i], the others kDark.
+  std::vector<std::size_t> DomainOfCore(
+      std::span<const std::size_t> domain_of_instance) const;
+  /// TotalPower on active cores at their domain's level, else dark.
+  void PowersAt(std::span<const std::size_t> domain_of_core,
+                std::span<const std::size_t> levels,
+                std::span<const double> die_temps,
+                std::span<double> out) const;
+  BoostTrace RunLoop(const BoostLaw& law, std::size_t start_level,
+                     double duration_s, double control_period_s) const;
 
   const arch::Platform* platform_;
   const apps::AppProfile* app_;
   std::size_t instances_;
   std::size_t threads_;
+  double activity_;
   std::vector<std::size_t> active_set_;
+  std::vector<std::size_t> chip_domain_;  // every active core in domain 0
   DarkSiliconEstimator estimator_;
+};
+
+/// One closed-loop boost run (Sec. 6, Fig. 11): a law, its DVFS
+/// domains' levels and the run's accumulators. Control takes each
+/// period's starting die temperatures and returns the per-core powers
+/// to step with; Finish takes the final ones. The three Run*Boosting
+/// methods step one on a TransientSimulator, every boost_transient row
+/// on a cohort column. Allocation-free after construction.
+class BoostLoop {
+ public:
+  /// Throws std::invalid_argument unless `duration_s`,
+  /// `control_period_s` and RAPL's `tau_s` are finite and positive.
+  /// Runs max(1, round(duration / period)) periods from `start_level`.
+  BoostLoop(const BoostingSimulator& sim, const BoostLaw& law,
+            std::size_t start_level, double duration_s,
+            double control_period_s);
+
+  std::size_t steps() const { return steps_; }
+  std::size_t level() const { return levels_[0]; }  // domain 0
+  double warm_peak_c() const { return warm_peak_c_; }  // period 0's start
+
+  /// The returned view is valid until the next call.
+  std::span<const double> Control(std::span<const double> die_temps);
+
+  /// The trace samples temperatures after each step and averages the
+  /// power over the requested duration.
+  BoostTrace Finish(std::span<const double> die_temps);
+
+ private:
+  double TotalPower(std::span<const double> die_temps);  // into powers_
+  void Decide(double peak, std::span<const double> die_temps);
+  void MoveTo(std::size_t d, std::size_t level);
+  void RecordStepEnd(double peak);  // period s_ - 1 ended at `peak`
+
+  const BoostingSimulator* sim_;
+  BoostLaw law_;
+  double period_s_;
+  std::size_t steps_;
+  std::size_t stride_;  // trace sample stride
+  std::size_t s_ = 0;   // periods controlled so far
+  double time_s_ = 0.0;
+  std::vector<std::size_t> domain_of_instance_;
+  std::vector<std::size_t> domain_of_core_;  // kDark for dark cores
+  std::vector<std::size_t> levels_;          // per domain
+  std::vector<double> powers_;               // per core
+  double ewma_w_ = 0.0;                      // RAPL's power average
+  double warm_peak_c_ = 0.0;
+  double gips_acc_ = 0.0;
+  BoostTrace trace_;
 };
 
 }  // namespace ds::core

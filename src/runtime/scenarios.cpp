@@ -1,8 +1,8 @@
 #include "runtime/scenarios.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
+#include <optional>
 
 #include "apps/app_profile.hpp"
 #include "core/boosting.hpp"
@@ -134,72 +134,34 @@ void RunBoost(const SweepPoint& p, ModelCache& cache, JobResult* result) {
   };
 }
 
-/// One boost_transient member's control state. The platform lives on
-/// the heap so the BoostingSimulator's internal pointer stays stable
-/// while the member vector grows.
+/// One boost_transient member. The platform and simulator live on the
+/// heap so the pointers the simulator and the loop hold stay stable.
+/// The member steps while it has a loop (not skipped or detached).
 struct BtMember {
-  const SweepPoint* p = nullptr;
   JobResult* result = nullptr;
   std::unique_ptr<arch::Platform> platform;
   std::unique_ptr<core::BoostingSimulator> sim;
+  std::optional<core::BoostLoop> loop;
   std::size_t handle = 0;  // BatchStepPropagator member handle
-  std::size_t level = 0;
-  bool stepping = false;  // in the lockstep loop (not skipped/detached)
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-  double max_power_w = 0.0;
-  double max_temp_c = 0.0;
 };
 
-/// Per-control-period control decision + power update for one member;
-/// mirrors BoostingSimulator::RunBoosting's loop body against the
-/// member's panel column instead of a private TransientSimulator.
-void BtControlStep(BtMember& m, thermal::BatchStepPropagator& batch,
-                   double dt_s, std::vector<double>& temps_buf,
-                   std::vector<double>& powers_buf) {
-  const power::DvfsLadder& ladder = m.platform->ladder();
-  const double threshold_c = m.platform->tdtm_c();
-  const double peak = batch.PeakDieTemp(m.handle);
-  auto member_state = batch.MemberState(m.handle);
-  temps_buf.assign(member_state.begin(),
-                   member_state.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           m.platform->num_cores()));
-  if (peak < threshold_c) {
-    const std::size_t up = ladder.StepUp(m.level);
-    if (up != m.level) {
-      powers_buf = m.sim->CorePowersAt(up, temps_buf);
-      double total_up = 0.0;
-      for (const double w : powers_buf) total_up += w;
-      if (total_up <= m.p->power_cap_w) m.level = up;
-    }
-  } else {
-    m.level = ladder.StepDown(m.level);
-  }
-  powers_buf = m.sim->CorePowersAt(m.level, temps_buf);
-  double total_power = 0.0;
-  for (const double w : powers_buf) total_power += w;
-  batch.SetPowers(m.handle, powers_buf);
-
-  const double gips = m.sim->GipsAtLevel(m.level);
-  m.gips_acc += gips;
-  m.energy_acc += total_power * dt_s;
-  m.max_power_w = std::max(m.max_power_w, total_power);
-  m.max_temp_c = std::max(m.max_temp_c, peak);
-}
-
-void BtFinishMember(BtMember& m, thermal::BatchStepPropagator& batch,
-                    std::size_t steps, double duration_s) {
-  const double peak = batch.PeakDieTemp(m.handle);
-  m.max_temp_c = std::max(m.max_temp_c, peak);
+/// The row from a member's finished loop. Two of its cells differ from
+/// RunBoosting's trace by definition: max_temp_c also counts the peak
+/// the first period started from (the trace samples after each step),
+/// and avg_power_w divides by the simulated time (the trace by the
+/// requested duration).
+void FinishRow(BtMember& m, const thermal::BatchStepPropagator& batch,
+               double simulated_s) {
+  const core::BoostTrace t = m.loop->Finish(
+      batch.MemberState(m.handle).first(batch.num_cores()));
   m.result->metrics = {
-      {"avg_gips", m.gips_acc / static_cast<double>(steps)},
-      {"avg_power_w", m.energy_acc / duration_s},
-      {"energy_j", m.energy_acc},
-      {"max_power_w", m.max_power_w},
-      {"max_temp_c", m.max_temp_c},
-      {"final_peak_c", peak},
-      {"final_freq_ghz", m.platform->ladder()[m.level].freq},
+      {"avg_gips", t.avg_gips},
+      {"avg_power_w", t.energy_j / simulated_s},
+      {"energy_j", t.energy_j},
+      {"max_power_w", t.max_power_w},
+      {"max_temp_c", std::max(m.loop->warm_peak_c(), t.max_temp_c)},
+      {"final_peak_c", batch.PeakDieTemp(m.handle)},
+      {"final_freq_ghz", m.platform->ladder()[m.loop->level()].freq},
   };
   m.result->ok = true;
 }
@@ -250,54 +212,40 @@ void RunBoostTransientCohort(
   const bool cohort_mode = static_cast<bool>(should_detach);
   const std::size_t k = jobs.size();
 
-  const double dt_s = jobs[0]->point.control_ms * 1e-3;
-  const std::size_t steps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(jobs[0]->point.duration_s / dt_s)));
-  const double duration_s = static_cast<double>(steps) * dt_s;
-  // dt and step count are cohort-wide (derived from jobs[0]), so the
-  // cohort key MUST split on both; enforce it here so a key regression
-  // is a loud cohort failure (-> scalar re-run), never silent rows
-  // simulated for the wrong horizon.
+  // dt and step count are cohort-wide, so the cohort key MUST split
+  // on both; enforce it here so a key regression is a loud cohort
+  // failure (-> scalar re-run), never silent rows simulated for the
+  // wrong horizon.
   for (std::size_t i = 1; i < k; ++i)
     DS_REQUIRE(jobs[i]->point.control_ms == jobs[0]->point.control_ms &&
                    jobs[i]->point.duration_s == jobs[0]->point.duration_s,
                "RunBoostTransientCohort: member " << i
                    << " mixes control_ms/duration_s with member 0");
+  const double dt_s = jobs[0]->point.control_ms * 1e-3;
 
   std::vector<BtMember> members(k);
   std::unique_ptr<thermal::BatchStepPropagator> batch;
-  // Shared control-step scratch, hoisted out of the stepping loop:
-  // every member's control step fully overwrites it, so sharing is
-  // safe and the hot path stays allocation-light.
-  std::vector<double> temps_buf;
-  std::vector<double> powers_buf;
+  std::size_t steps = 0;
 
   for (std::size_t i = 0; i < k; ++i) {
     BtMember& m = members[i];
-    m.p = &jobs[i]->point;
+    const SweepPoint& p = jobs[i]->point;
     m.result = results[i];
-    bool added = false;
     try {
-      m.platform =
-          std::make_unique<arch::Platform>(MakePlatform(*m.p, cache));
-      const apps::AppProfile& app = apps::AppByName(m.p->app);
+      m.platform = std::make_unique<arch::Platform>(MakePlatform(p, cache));
       m.sim = std::make_unique<core::BoostingSimulator>(
-          *m.platform, app, m.p->instances, m.p->threads,
-          core::MappingPolicyByName(m.p->mapping));
+          *m.platform, apps::AppByName(p.app), p.instances, p.threads,
+          core::MappingPolicyByName(p.mapping));
       std::size_t level = 0;
-      if (!m.sim->MaxSafeConstantLevel(m.p->power_cap_w, &level)) {
+      if (!m.sim->MaxSafeConstantLevel(p.power_cap_w, &level)) {
         m.result->skipped = true;
         m.result->ok = true;
         continue;
       }
-      m.level = level;
-      // BoostingSimulator's closed-loop warm start, on the model's
-      // cached solver (MakePlatform just installed it); the solver is
-      // deterministic, so every lane and cohort size starts from
-      // bitwise the same state.
-      const core::BoostingSimulator::WarmStart warm =
-          m.sim->SteadyWarmStart(level);
+      m.loop.emplace(*m.sim,
+                     core::BoostLaw{core::BoostLaw::Kind::kTurbo,
+                                    m.platform->tdtm_c(), p.power_cap_w},
+                     level, p.duration_s, dt_s);
       if (batch == nullptr) {
         // One folded propagator serves the whole cohort; the shared
         // PropagatorSet memoizes it across cohorts and sweep threads.
@@ -305,42 +253,44 @@ void RunBoostTransientCohort(
             m.platform->propagators()->For(m.platform->thermal_model(),
                                            dt_s),
             k);
+        steps = m.loop->steps();
       }
-      m.handle = batch->AddMember(warm.state);
-      added = true;
-      batch->SetPowers(m.handle, warm.powers);
-      m.stepping = true;
+      // The warm start on the model's cached solver (MakePlatform just
+      // installed it): deterministic, so every lane and cohort size
+      // starts from bitwise the same state.
+      m.handle = batch->AddMember(m.sim->SteadyWarmStart(level),
+                                  m.platform->solver());
     } catch (...) {
-      // Evict a half-initialized member (e.g. SetPowers rejected a
-      // non-finite power after AddMember succeeded) so the cohort does
-      // not step a ghost column for the whole run.
-      if (added && batch != nullptr) batch->RemoveMember(m.handle);
       if (!cohort_mode) throw;
+      m.loop.reset();
       (*detached)[i] = true;
     }
   }
 
   if (batch == nullptr) return;  // every member skipped or detached
 
+  const auto detach = [&](std::size_t i) {
+    batch->RemoveMember(members[i].handle);
+    members[i].loop.reset();
+    (*detached)[i] = true;
+  };
   for (std::size_t s = 0; s < steps; ++s) {
     std::size_t stepping = 0;
     for (std::size_t i = 0; i < k; ++i) {
       BtMember& m = members[i];
-      if (!m.stepping) continue;
+      if (!m.loop) continue;
       if (cohort_mode && should_detach(i)) {
-        batch->RemoveMember(m.handle);
-        m.stepping = false;
-        (*detached)[i] = true;
+        detach(i);
         continue;
       }
       try {
-        BtControlStep(m, *batch, dt_s, temps_buf, powers_buf);
+        batch->SetPowers(m.handle,
+                         m.loop->Control(batch->MemberState(m.handle).first(
+                             batch->num_cores())));
         ++stepping;
       } catch (...) {
         if (!cohort_mode) throw;
-        batch->RemoveMember(m.handle);
-        m.stepping = false;
-        (*detached)[i] = true;
+        detach(i);
       }
     }
     if (stepping == 0) return;
@@ -348,7 +298,7 @@ void RunBoostTransientCohort(
   }
 
   for (BtMember& m : members)
-    if (m.stepping) BtFinishMember(m, *batch, steps, duration_s);
+    if (m.loop) FinishRow(m, *batch, static_cast<double>(steps) * dt_s);
 }
 
 void RunScenario(SweepKind kind, const SweepJob& job, ModelCache& cache,
@@ -369,9 +319,8 @@ void RunScenario(SweepKind kind, const SweepJob& job, ModelCache& cache,
       const SweepJob* jp = &job;
       JobResult* rp = result;
       std::vector<bool> detached(1, false);
-      RunBoostTransientCohort(std::span<const SweepJob* const>(&jp, 1),
-                              cache, std::span<JobResult* const>(&rp, 1),
-                              nullptr, &detached);
+      RunBoostTransientCohort({&jp, 1}, cache, {&rp, 1}, nullptr,
+                              &detached);
       break;
     }
   }

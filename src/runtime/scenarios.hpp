@@ -40,27 +40,25 @@ bool KindIsBatchable(SweepKind kind);
 std::string BatchCohortKey(SweepKind kind, const SweepPoint& point);
 
 /// Runs a cohort of boost_transient jobs in lockstep over one shared
-/// propagator: one panel pass over M_state/M_in advances every member
-/// per control period. All jobs must share BatchCohortKey. Fills
-/// results[i] for jobs[i] and sets ok on completion.
+/// propagator: each member steps a core::BoostLoop under the Turbo law
+/// RunBoosting steps, from MaxSafeConstantLevel's warm start, on its
+/// panel column, and one panel pass advances every member per control
+/// period. All jobs must share BatchCohortKey. Fills results[i] for
+/// jobs[i] and sets ok on completion.
 ///
 /// `should_detach` (nullable) is polled once per control period per
-/// member; returning true detaches that member (its deadline passed or
-/// its cancel token fired). A detached member -- and any member whose
-/// setup or stepping throws, when `should_detach` is non-null -- is
-/// reported via detached[i] with its result slot left untouched, so
-/// the engine can re-run it through the scalar retry ladder. With
-/// `should_detach == nullptr` (the scalar lane, k = 1), member
-/// exceptions propagate to the caller exactly like every other runner.
+/// member; true detaches it (its deadline passed or its cancel token
+/// fired). A detached member -- and, when `should_detach` is non-null,
+/// any member whose setup or stepping throws -- is reported via
+/// detached[i] with its result slot untouched, so the engine can re-run
+/// it through the scalar retry ladder. With `should_detach == nullptr`
+/// (the scalar lane, k = 1), member exceptions propagate to the caller
+/// exactly like every other runner.
 ///
-/// Determinism: members step through the panel kernels whose per-
-/// element summation order is independent of k, so a job's metrics are
-/// bitwise identical at any cohort size, including the k = 1 scalar
-/// lane -- this is what keeps sweep CSV output byte-identical at any
-/// cohort width (and so at any thread count). Each member runs
-/// BoostingSimulator::RunBoosting's closed loop (Fig. 11) from the
-/// same warm start at MaxSafeConstantLevel, so its avg_gips, energy_j
-/// and max_power_w are bitwise RunBoosting's.
+/// Determinism: the panel kernels' per-element summation order does not
+/// depend on k, so a row is bitwise identical at any cohort width (and
+/// so at any thread count), and its avg_gips, energy_j and max_power_w
+/// are bitwise RunBoosting's.
 void RunBoostTransientCohort(
     std::span<const SweepJob* const> jobs, ModelCache& cache,
     std::span<JobResult* const> results,

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "telemetry/scoped.hpp"
+#include "thermal/steady_state.hpp"
 #include "util/contracts.hpp"
 
 namespace ds::thermal {
@@ -57,6 +58,17 @@ std::size_t BatchStepPropagator::AddMember(
   member_of_col_.resize(std::max(member_of_col_.size(), col + 1));
   member_of_col_[col] = member;
   ++k_;
+  return member;
+}
+
+std::size_t BatchStepPropagator::AddMember(std::span<const double> core_powers,
+                                           const SteadyStateSolver& solver) {
+  // The state's size is checked on the way in, and SolveFull takes only
+  // finite powers, so SetPowers cannot throw once the member is in.
+  DS_REQUIRE(solver.model().num_cores() == num_cores(),
+             "BatchStepPropagator::AddMember: solver of another model");
+  const std::size_t member = AddMember(solver.SolveFull(core_powers));
+  SetPowers(member, core_powers);
   return member;
 }
 

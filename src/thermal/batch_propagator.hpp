@@ -38,6 +38,8 @@
 
 namespace ds::thermal {
 
+class SteadyStateSolver;
+
 /// Advances up to k_max state columns in lockstep over one shared
 /// StepPropagator. Not thread-safe: one instance per worker/cohort.
 /// Allocation-free after construction (panels are pre-sized to k_max).
@@ -60,6 +62,12 @@ class BatchStepPropagator {
   /// (size num_nodes()). Returns a stable member handle. Requires
   /// k() < k_max(). The member's powers start at zero.
   std::size_t AddMember(std::span<const double> initial_state);
+
+  /// Adds a member at the steady state of `core_powers` on `solver`,
+  /// with those powers set: TransientSimulator::InitializeSteadyState's
+  /// start, bit for bit. Adds nothing if it throws.
+  std::size_t AddMember(std::span<const double> core_powers,
+                        const SteadyStateSolver& solver);
 
   /// Detaches a member mid-cohort (swap-last compaction). The handle
   /// becomes inactive; remaining members are unaffected bitwise.

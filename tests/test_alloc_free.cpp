@@ -2,9 +2,10 @@
 // path. Built as its own binary (not part of ds_tests) because it
 // replaces the global allocator with a counting one: after warm-up,
 // Step and StepN must perform ZERO heap allocations on the
-// propagator's k = 1 panel lane. This is the enforcement for the
-// per-step-allocation fix -- a reintroduced std::vector in the step
-// path fails here, not in a profile much later.
+// propagator's k = 1 panel lane, and neither may a boost closed loop's
+// control period, under any of its laws. This is the enforcement for
+// the per-step-allocation fix -- a reintroduced std::vector in the step
+// or control path fails here, not in a profile much later.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,9 @@
 #include <new>
 #include <vector>
 
+#include "apps/app_profile.hpp"
+#include "arch/platform.hpp"
+#include "core/boosting.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/transient.hpp"
@@ -75,6 +79,45 @@ TEST(AllocFree, StepNAllocatesNothingAfterWarmup) {
   EXPECT_EQ(AllocsDuring([&] {
               for (int i = 0; i < 100; ++i) sim.StepN(p, 25);
             }),
+            0u);
+}
+
+// x264 x12 at 16 nm from its highest safe constant level: every law
+// moves its levels within the first periods, so the 100 periods
+// measured cover both directions and the up step's power check.
+std::uint64_t BoostLoopAllocs(const core::BoostLaw& law) {
+  const arch::Platform plat =
+      arch::Platform::PaperPlatform(power::TechNode::N16);
+  const core::BoostingSimulator sim(plat, apps::AppByName("x264"), 12, 8);
+  std::size_t level = 0;
+  EXPECT_TRUE(sim.MaxSafeConstantLevel(500.0, &level));
+  core::BoostLoop loop(sim, law, level, 0.2, 1e-3);
+  TransientSimulator t = plat.MakeTransient(1e-3);
+  t.InitializeSteadyState(sim.SteadyWarmStart(level), plat.solver());
+  const auto period = [&] {
+    t.Step(loop.Control(t.state().first(plat.num_cores())));
+  };
+  for (int i = 0; i < 10; ++i) period();  // warm-up
+  return AllocsDuring([&] {
+    for (int i = 0; i < 100; ++i) period();
+  });
+}
+
+TEST(AllocFree, TurboControlAllocatesNothing) {
+  EXPECT_EQ(BoostLoopAllocs({core::BoostLaw::Kind::kTurbo, power::kTdtmC,
+                             500.0}),
+            0u);
+}
+
+TEST(AllocFree, PerInstanceControlAllocatesNothing) {
+  EXPECT_EQ(BoostLoopAllocs({core::BoostLaw::Kind::kPerInstance,
+                             power::kTdtmC, 500.0}),
+            0u);
+}
+
+TEST(AllocFree, RaplControlAllocatesNothing) {
+  EXPECT_EQ(BoostLoopAllocs({core::BoostLaw::Kind::kRapl, power::kTdtmC,
+                             300.0, 220.0, 1.0}),
             0u);
 }
 

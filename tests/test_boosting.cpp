@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "apps/app_profile.hpp"
 #include "arch/platform.hpp"
 
@@ -164,6 +169,172 @@ TEST_F(BoostingTest, FewActiveCoresNeverThrottle) {
   EXPECT_EQ(level, Plat16().ladder().size() - 1);
   const auto qs = small.EstimateBoosting(Plat16().tdtm_c(), 500.0);
   EXPECT_NEAR(qs.avg_gips, small.GipsAtLevel(level), 1e-9);
+}
+
+// ------------------------------------------------------ loop inputs
+//
+// The closed loop checks its duration, control period and RAPL window
+// once, when it is built: a zero duration would run no period and
+// average 0 / 0, and a negative one would wrap the period count.
+
+TEST_F(BoostingTest, ZeroDurationThrows) {
+  EXPECT_THROW(sim_.RunBoosting(0, Plat16().tdtm_c(), 500.0, 0.0),
+               std::invalid_argument);
+}
+
+TEST_F(BoostingTest, NegativeOrNanDurationThrows) {
+  const double t = Plat16().tdtm_c();
+  EXPECT_THROW(sim_.RunPerInstanceBoosting(0, t, 500.0, -1.0),
+               std::invalid_argument);
+  EXPECT_THROW(sim_.RunRaplBoosting(0, 220.0, 300.0, 1.0, t,
+                                    std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+TEST_F(BoostingTest, ZeroControlPeriodThrows) {
+  EXPECT_THROW(sim_.RunBoosting(0, Plat16().tdtm_c(), 500.0, 0.1, 0.0),
+               std::invalid_argument);
+}
+
+TEST_F(BoostingTest, ZeroRaplWindowThrows) {
+  EXPECT_THROW(
+      sim_.RunRaplBoosting(0, 220.0, 300.0, 0.0, Plat16().tdtm_c(), 0.1),
+      std::invalid_argument);
+}
+
+TEST_F(BoostingTest, SubPeriodDurationRunsOnePeriod) {
+  std::size_t level = 0;
+  ASSERT_TRUE(sim_.MaxSafeConstantLevel(500.0, &level));
+  const BoostTrace t =
+      sim_.RunBoosting(level, Plat16().tdtm_c(), 500.0, 0.4e-3);
+  ASSERT_EQ(t.time_s.size(), 1u);
+  EXPECT_EQ(t.time_s[0], 1e-3);
+  EXPECT_EQ(t.avg_gips, t.gips[0]);
+  EXPECT_EQ(t.energy_j, t.power_w[0] * 1e-3);
+  EXPECT_EQ(t.max_temp_c, t.peak_temp_c[0]);
+  EXPECT_TRUE(std::isfinite(t.avg_power_w));
+}
+
+// MaxSafeConstantLevel scans the whole ladder and keeps the last
+// feasible level. A bisection would also need the feasible levels to
+// form a prefix of the ladder; this checks that they do across the
+// suite, and that the scan returns the prefix's last level.
+TEST(BoostingProperty, FeasibleLevelsFormALadderPrefix) {
+  const std::size_t ladder = Plat16().ladder().size();
+  std::size_t configs = 0;
+  for (const apps::AppProfile& app : apps::ParsecSuite()) {
+    for (const std::size_t instances : {1, 4, 12}) {
+      const BoostingSimulator sim(Plat16(), app, instances, 8);
+      std::vector<Estimate> steady;
+      std::vector<bool> runaway;
+      for (std::size_t level = 0; level < ladder; ++level) {
+        try {
+          steady.push_back(sim.SteadyAtLevel(level));
+          runaway.push_back(false);
+        } catch (const std::runtime_error&) {
+          steady.emplace_back();
+          runaway.push_back(true);
+        }
+      }
+      for (const double cap : {250.0, 400.0, 500.0}) {
+        SCOPED_TRACE(testing::Message() << app.name << " x" << instances
+                                        << " at " << cap << " W");
+        std::size_t prefix = 0;  // feasible levels 0 .. prefix-1
+        while (prefix < ladder && !runaway[prefix] &&
+               !steady[prefix].thermal_violation &&
+               steady[prefix].total_power_w <= cap)
+          ++prefix;
+        for (std::size_t level = prefix; level < ladder; ++level)
+          EXPECT_TRUE(runaway[level] || steady[level].thermal_violation ||
+                      steady[level].total_power_w > cap)
+              << "level " << level << " is feasible above the prefix";
+        std::size_t found = 0;
+        ASSERT_EQ(sim.MaxSafeConstantLevel(cap, &found), prefix > 0);
+        if (prefix > 0) {
+          EXPECT_EQ(found, prefix - 1);
+        }
+        ++configs;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 63u);
+}
+
+// ------------------------------------------------------- trace pins
+//
+// Every double of a closed-loop trace (the samples, then the
+// aggregates), hashed with 64-bit FNV-1a as PlacementPin does. The
+// Turbo, per-instance and RAPL loops share one control law; these pins
+// hold each law's trajectory to the bits it had before they shared it.
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
+std::uint64_t Fnv1a(double x, std::uint64_t h) {
+  unsigned char bytes[sizeof x];
+  std::memcpy(bytes, &x, sizeof x);
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t TraceHash(const BoostTrace& t) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::vector<double>* v :
+       {&t.time_s, &t.gips, &t.peak_temp_c, &t.power_w})
+    for (const double x : *v) h = Fnv1a(x, h);
+  for (const double x : {t.avg_gips, t.avg_power_w, t.max_power_w,
+                         t.max_temp_c, t.energy_j, t.duration_s})
+    h = Fnv1a(x, h);
+  return h;
+}
+
+class BoostTracePin : public BoostingTest {
+ protected:
+  static constexpr double kSeconds = 0.3;
+  std::size_t StartLevel() const {
+    std::size_t level = 0;
+    EXPECT_TRUE(sim_.MaxSafeConstantLevel(500.0, &level));
+    return level;
+  }
+  static void ExpectPin(const BoostTrace& t, std::uint64_t pin) {
+    const std::uint64_t h = TraceHash(t);
+    EXPECT_EQ(h, pin) << "0x" << std::hex << h;
+  }
+};
+
+TEST_F(BoostTracePin, TurboAt500W) {
+  ExpectPin(sim_.RunBoosting(StartLevel(), Plat16().tdtm_c(), 500.0, kSeconds),
+            0x741537d4cf081419ull);
+}
+
+TEST_F(BoostTracePin, TurboWithUpStepBlockedByCap) {
+  const std::size_t level = StartLevel();
+  const double cap = sim_.SteadyAtLevel(level).total_power_w + 5.0;
+  ExpectPin(sim_.RunBoosting(level, Plat16().tdtm_c(), cap, kSeconds),
+            0xef71fedecda1d53eull);
+}
+
+TEST_F(BoostTracePin, PerInstance) {
+  ExpectPin(sim_.RunPerInstanceBoosting(StartLevel(), Plat16().tdtm_c(), 500.0,
+                                        kSeconds),
+            0x82f8fb03c140a2f7ull);
+}
+
+TEST_F(BoostTracePin, RaplPl1Below) {
+  // PL1 = 220 W sits below the warm start's power: the peak falls.
+  ExpectPin(sim_.RunRaplBoosting(StartLevel(), 220.0, 300.0, 1.0,
+                                 Plat16().tdtm_c(), kSeconds),
+            0x54d664791a2911b6ull);
+}
+
+TEST_F(BoostTracePin, RaplPl1Above) {
+  // PL1 = 280 W sits above the thermal capacity: the run degenerates to
+  // the thermal trigger and hashes as TurboAt500W does.
+  ExpectPin(sim_.RunRaplBoosting(StartLevel(), 280.0, 360.0, 1.0,
+                                 Plat16().tdtm_c(), kSeconds),
+            0x741537d4cf081419ull);
 }
 
 }  // namespace
