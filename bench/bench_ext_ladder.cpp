@@ -26,17 +26,18 @@ int main() {
   for (const double step : {0.05, 0.1, 0.2, 0.4}) {
     const arch::Platform plat(power::TechNode::N16, 100, step);
     const core::BoostingSimulator sim(plat, apps::AppByName("x264"), 12, 8);
-    std::size_t level = 0;
-    if (!sim.MaxSafeConstantLevel(500.0, &level)) continue;
-    const core::Estimate steady = sim.SteadyAtLevel(level);
-    const auto boost = sim.EstimateBoosting(plat.tdtm_c(), 500.0);
+    const core::BoostingSimulator::Comparison c =
+        sim.Compare(plat.tdtm_c(), 500.0);
+    if (!c.feasible) continue;
+    const std::size_t level = c.level;
+    const auto& boost = c.boost;
     t.Row()
         .Cell(1000.0 * step, 0)
         .Cell(plat.ladder()[level].freq, 2)
         .Cell(sim.GipsAtLevel(level), 1)
         .Cell(boost.avg_gips, 1)
         .Cell(100.0 * (boost.avg_gips / sim.GipsAtLevel(level) - 1.0), 1)
-        .Cell(plat.tdtm_c() - steady.peak_temp_c, 1);
+        .Cell(plat.tdtm_c() - c.steady.peak_temp_c, 1);
   }
   t.Print(std::cout);
   std::cout << "\nBoosting is a discretization patch: its gain is the "

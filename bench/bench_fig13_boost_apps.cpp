@@ -27,10 +27,11 @@ int main() {
   for (std::size_t a = 0; a < suite.size(); ++a) {
     for (const std::size_t instances : {12UL, 24UL}) {
       const core::BoostingSimulator sim(plat, suite[a], instances, 8);
-      std::size_t level = 0;
-      if (!sim.MaxSafeConstantLevel(power_cap, &level)) continue;
-      const core::Estimate steady = sim.SteadyAtLevel(level);
-      const auto boost = sim.EstimateBoosting(plat.tdtm_c(), power_cap);
+      const core::BoostingSimulator::Comparison c =
+          sim.Compare(plat.tdtm_c(), power_cap);
+      if (!c.feasible) continue;
+      const std::size_t level = c.level;
+      const auto& boost = c.boost;
       const double gain =
           100.0 * (boost.avg_gips / sim.GipsAtLevel(level) - 1.0);
       min_freq = std::min(min_freq, plat.ladder()[level].freq);
@@ -40,7 +41,7 @@ int main() {
           .Cell(instances)
           .Cell(plat.ladder()[level].freq, 1)
           .Cell(sim.GipsAtLevel(level), 1)
-          .Cell(steady.total_power_w, 0)
+          .Cell(c.steady.total_power_w, 0)
           .Cell(boost.avg_gips, 1)
           .Cell(boost.peak_power_w, 0)
           .Cell(gain, 1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -78,23 +79,38 @@ Estimate BoostingSimulator::SteadyAtLevel(std::size_t level) const {
   return estimator_.EvaluateWorkload(WorkloadAtLevel(level), active_set_);
 }
 
-bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
-                                             std::size_t* level_out) const {
-  DS_REQUIRE(level_out != nullptr,
-             "MaxSafeConstantLevel: level_out must not be null");
-  bool found = false;
+template <typename Visit>
+void BoostingSimulator::ScanLadder(Visit&& visit) const {
   for (std::size_t level = 0; level < platform_->ladder().size(); ++level) {
     Estimate e;
     try {
       e = SteadyAtLevel(level);
     } catch (const std::runtime_error&) {
-      break;  // thermal runaway at this level and above
+      return;  // thermal runaway at this level and above
     }
-    if (!e.thermal_violation && e.total_power_w <= power_cap_w) {
-      *level_out = level;
-      found = true;
-    }
+    visit(level, e);
   }
+}
+
+namespace {
+
+/// MaxSafeConstantLevel's rule for one level's steady state.
+bool SafeConstant(const Estimate& e, double power_cap_w) {
+  return !e.thermal_violation && e.total_power_w <= power_cap_w;
+}
+
+}  // namespace
+
+bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
+                                             std::size_t* level_out) const {
+  DS_REQUIRE(level_out != nullptr,
+             "MaxSafeConstantLevel: level_out must not be null");
+  bool found = false;
+  ScanLadder([&](std::size_t level, const Estimate& e) {
+    if (!SafeConstant(e, power_cap_w)) return;
+    *level_out = level;
+    found = true;
+  });
   return found;
 }
 
@@ -116,9 +132,28 @@ BoostTrace BoostingSimulator::RunLoop(const BoostLaw& law,
   thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
   sim.InitializeSteadyState(SteadyWarmStart(start_level), platform_->solver());
   const std::size_t n = platform_->num_cores();
-  for (std::size_t s = 0; s < loop.steps(); ++s)
+  const std::size_t stride = std::max<std::size_t>(1, loop.steps() / 1000);
+  std::vector<double> time_s;
+  std::vector<double> gips;
+  std::vector<double> peak_temp_c;
+  std::vector<double> power_w;
+  for (std::vector<double>* v : {&time_s, &gips, &peak_temp_c, &power_w})
+    v->reserve((loop.steps() + stride - 1) / stride);
+  for (std::size_t s = 0; s < loop.steps(); ++s) {
     sim.Step(loop.Control(sim.state().first(n)));
-  return loop.Finish(sim.state().first(n));
+    if (s % stride != 0) continue;
+    const std::span<const double> die = sim.state().first(n);
+    time_s.push_back(loop.time_s());
+    gips.push_back(loop.gips());
+    peak_temp_c.push_back(*std::max_element(die.begin(), die.end()));
+    power_w.push_back(loop.power_w());
+  }
+  BoostTrace trace = loop.Finish(sim.state().first(n));
+  trace.time_s = std::move(time_s);
+  trace.gips = std::move(gips);
+  trace.peak_temp_c = std::move(peak_temp_c);
+  trace.power_w = std::move(power_w);
+  return trace;
 }
 
 BoostTrace BoostingSimulator::RunBoosting(
@@ -147,61 +182,58 @@ BoostTrace BoostingSimulator::RunRaplBoosting(
 
 BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
     double threshold_c, double power_cap_w) const {
-  QuasiSteadyBoost out;
-  // Highest level whose steady peak stays at or below the threshold.
-  bool have_base = false;
-  Estimate base;
-  std::size_t base_level = 0;
-  for (std::size_t level = 0; level < platform_->ladder().size(); ++level) {
-    Estimate e;
-    try {
-      e = SteadyAtLevel(level);
-    } catch (const std::runtime_error&) {
-      break;
-    }
-    if (e.peak_temp_c <= threshold_c && e.total_power_w <= power_cap_w) {
-      base = e;
-      base_level = level;
-      have_base = true;
-    }
-  }
-  if (!have_base) {
-    // Even the lowest level violates: the controller pins the floor.
-    base = SteadyAtLevel(0);
-    base_level = 0;
-  }
-  out.base_level = base_level;
+  return Compare(threshold_c, power_cap_w).boost;
+}
 
-  const std::size_t up = platform_->ladder().StepUp(base_level);
-  if (up == base_level) {
-    out.avg_gips = GipsAtLevel(base_level);
-    out.avg_power_w = out.peak_power_w = base.total_power_w;
+BoostingSimulator::Comparison BoostingSimulator::Compare(
+    double threshold_c, double power_cap_w) const {
+  Comparison out;
+  // The boost base is the highest level whose steady peak stays at or
+  // below the threshold; when no level qualifies, the controller pins
+  // the floor (level 0). `above` is the level over the base, unless it
+  // ran away.
+  std::optional<Estimate> base;
+  std::optional<Estimate> above;
+  std::size_t base_level = 0;
+  ScanLadder([&](std::size_t level, Estimate& e) {
+    if (SafeConstant(e, power_cap_w)) {
+      out.feasible = true;
+      out.level = level;
+      out.steady = e;
+    }
+    if (level == 0 ||
+        (e.peak_temp_c <= threshold_c && e.total_power_w <= power_cap_w)) {
+      base = std::move(e);
+      base_level = level;
+      above.reset();
+    } else if (level == base_level + 1) {
+      above = std::move(e);
+    }
+  });
+  if (!base) base = SteadyAtLevel(0);  // level 0 ran away: rethrows
+
+  QuasiSteadyBoost& boost = out.boost;
+  boost.base_level = base_level;
+  const std::size_t up = base_level + 1;
+  // No boost at the ladder top, or when the level above runs away or
+  // exceeds the cap.
+  if (!above || above->total_power_w > power_cap_w) {
+    boost.avg_gips = GipsAtLevel(base_level);
+    boost.avg_power_w = boost.peak_power_w = base->total_power_w;
     return out;
   }
-  Estimate boosted;
-  bool boosted_ok = true;
-  try {
-    boosted = SteadyAtLevel(up);
-  } catch (const std::runtime_error&) {
-    boosted_ok = false;  // runaway at the boosted level: never boost
-  }
-  if (!boosted_ok || boosted.total_power_w > power_cap_w) {
-    out.avg_gips = GipsAtLevel(base_level);
-    out.avg_power_w = out.peak_power_w = base.total_power_w;
-    return out;
-  }
-  const double denom = boosted.peak_temp_c - base.peak_temp_c;
+  const double denom = above->peak_temp_c - base->peak_temp_c;
   const double d =
       denom <= 1e-9
           ? 1.0
-          : std::clamp((threshold_c - base.peak_temp_c) / denom, 0.0, 1.0);
-  out.boosted = d > 0.0;
-  out.duty = d;
-  out.avg_gips =
+          : std::clamp((threshold_c - base->peak_temp_c) / denom, 0.0, 1.0);
+  boost.boosted = d > 0.0;
+  boost.duty = d;
+  boost.avg_gips =
       (1.0 - d) * GipsAtLevel(base_level) + d * GipsAtLevel(up);
-  out.avg_power_w =
-      (1.0 - d) * base.total_power_w + d * boosted.total_power_w;
-  out.peak_power_w = boosted.total_power_w;
+  boost.avg_power_w =
+      (1.0 - d) * base->total_power_w + d * above->total_power_w;
+  boost.peak_power_w = above->total_power_w;
   return out;
 }
 
@@ -247,7 +279,6 @@ BoostLoop::BoostLoop(const BoostingSimulator& sim, const BoostLaw& law,
                                        << ladder.size());
   steps_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::lround(duration_s / control_period_s)));
-  stride_ = std::max<std::size_t>(1, steps_ / 1000);
 
   const bool per_instance = law.kind == BoostLaw::Kind::kPerInstance;
   for (std::size_t i = 0; i < sim.instances_; ++i)
@@ -255,9 +286,6 @@ BoostLoop::BoostLoop(const BoostingSimulator& sim, const BoostLaw& law,
   domain_of_core_ = sim.DomainOfCore(domain_of_instance_);
   levels_.assign(per_instance ? sim.instances_ : 1, start_level);
   powers_.resize(sim.platform_->num_cores());
-  for (std::vector<double>* v : {&trace_.time_s, &trace_.gips,
-                                 &trace_.peak_temp_c, &trace_.power_w})
-    v->reserve((steps_ + stride_ - 1) / stride_);
   trace_.duration_s = duration_s;
 }
 
@@ -314,14 +342,6 @@ void BoostLoop::Decide(double peak, std::span<const double> die_temps) {
   if (fits) MoveTo(0, up);
 }
 
-void BoostLoop::RecordStepEnd(double peak) {
-  trace_.max_temp_c = std::max(trace_.max_temp_c, peak);
-  if ((s_ - 1) % stride_ == 0) {
-    trace_.time_s.push_back(time_s_);
-    trace_.peak_temp_c.push_back(peak);
-  }
-}
-
 std::span<const double> BoostLoop::Control(
     std::span<const double> die_temps) {
   DS_REQUIRE(s_ < steps_ && die_temps.size() == powers_.size(),
@@ -331,7 +351,7 @@ std::span<const double> BoostLoop::Control(
   if (s_ == 0) {
     warm_peak_c_ = peak;
   } else {
-    RecordStepEnd(peak);
+    trace_.max_temp_c = std::max(trace_.max_temp_c, peak);  // period s_ - 1
   }
   Decide(peak, die_temps);
 
@@ -344,12 +364,10 @@ std::span<const double> BoostLoop::Control(
   for (const std::size_t d : domain_of_instance_)
     gips += sim_->app_->InstanceGips(sim_->threads_, ladder[levels_[d]].freq);
   gips_acc_ += gips;
+  gips_ = gips;
+  power_w_ = total;
   trace_.energy_j += total * period_s_;
   trace_.max_power_w = std::max(trace_.max_power_w, total);
-  if (s_ % stride_ == 0) {
-    trace_.gips.push_back(gips);
-    trace_.power_w.push_back(total);
-  }
   time_s_ += period_s_;
   ++s_;
   return powers_;
@@ -359,7 +377,8 @@ BoostTrace BoostLoop::Finish(std::span<const double> die_temps) {
   DS_REQUIRE(s_ == steps_ && die_temps.size() == powers_.size(),
              "BoostLoop::Finish: " << s_ << " of " << steps_ << " periods, "
                  << die_temps.size() << " die temperatures");
-  RecordStepEnd(*std::max_element(die_temps.begin(), die_temps.end()));
+  trace_.max_temp_c = std::max(
+      trace_.max_temp_c, *std::max_element(die_temps.begin(), die_temps.end()));
   trace_.avg_gips = gips_acc_ / static_cast<double>(steps_);
   trace_.avg_power_w = trace_.energy_j / trace_.duration_s;
   return std::move(trace_);

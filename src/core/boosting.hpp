@@ -7,6 +7,11 @@
 // highest level whose *steady-state* peak temperature stays below the
 // threshold (and whose power stays below the electrical budget), i.e.
 // "a few degrees below critical due to the available v/f steps".
+//
+// Both baselines come from one scan up the ladder: each level's steady
+// state is solved once, and the scan stops at the first level whose
+// steady state runs away. MaxSafeConstantLevel, EstimateBoosting and
+// Compare read that one scan.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +27,11 @@
 
 namespace ds::core {
 
-/// Time series and aggregates of one transient run.
+/// Time series and aggregates of one transient run. The series sample
+/// every max(1, periods / 1000)-th control period; a BoostLoop's own
+/// Finish fills the aggregates only.
 struct BoostTrace {
-  std::vector<double> time_s;       // sampled once per control period
+  std::vector<double> time_s;  // end of the sampled period
   std::vector<double> gips;
   std::vector<double> peak_temp_c;
   std::vector<double> power_w;
@@ -89,6 +96,19 @@ class BoostingSimulator {
   QuasiSteadyBoost EstimateBoosting(double threshold_c,
                                     double power_cap_w) const;
 
+  /// Constant frequency against boosting (Figs. 12-13), from one ladder
+  /// scan: `feasible` and `level` are MaxSafeConstantLevel(power_cap_w),
+  /// `steady` is SteadyAtLevel(level) and `boost` is
+  /// EstimateBoosting(threshold_c, power_cap_w), bit for bit. `level`
+  /// and `steady` mean nothing unless `feasible`.
+  struct Comparison {
+    bool feasible = false;
+    std::size_t level = 0;
+    Estimate steady;
+    QuasiSteadyBoost boost;
+  };
+  Comparison Compare(double threshold_c, double power_cap_w) const;
+
   /// Per-instance (per-voltage-domain) boosting: each application
   /// instance owns a DVFS domain and the controller steps it by its own
   /// hottest core, instead of the paper's single chip-wide step. Cooler
@@ -139,6 +159,11 @@ class BoostingSimulator {
 
   static constexpr std::size_t kDark = static_cast<std::size_t>(-1);
 
+  /// Calls visit(level, steady state) from the bottom of the ladder up,
+  /// until the ladder ends or a level's steady state runs away.
+  template <typename Visit>
+  void ScanLadder(Visit&& visit) const;
+
   apps::Workload WorkloadAtLevel(std::size_t level) const;
   /// Instance i's cores in domain_of_instance[i], the others kDark.
   std::vector<std::size_t> DomainOfCore(
@@ -164,9 +189,11 @@ class BoostingSimulator {
 /// One closed-loop boost run (Sec. 6, Fig. 11): a law, its DVFS
 /// domains' levels and the run's accumulators. Control takes each
 /// period's starting die temperatures and returns the per-core powers
-/// to step with; Finish takes the final ones. The three Run*Boosting
-/// methods step one on a TransientSimulator, every boost_transient row
-/// on a cohort column. Allocation-free after construction.
+/// to step with; Finish takes the final ones and returns the
+/// aggregates. The three Run*Boosting methods step one on a
+/// TransientSimulator and sample its series, every boost_transient row
+/// on a cohort column. Allocation-free after construction, whatever
+/// the duration.
 class BoostLoop {
  public:
   /// Throws std::invalid_argument unless `duration_s`,
@@ -179,27 +206,33 @@ class BoostLoop {
   std::size_t steps() const { return steps_; }
   std::size_t level() const { return levels_[0]; }  // domain 0
   double warm_peak_c() const { return warm_peak_c_; }  // period 0's start
+  /// The last controlled period's GIPS and total power.
+  double gips() const { return gips_; }
+  double power_w() const { return power_w_; }
+  /// Simulated time at the end of the last controlled period.
+  double time_s() const { return time_s_; }
 
   /// The returned view is valid until the next call.
   std::span<const double> Control(std::span<const double> die_temps);
 
-  /// The trace samples temperatures after each step and averages the
-  /// power over the requested duration.
+  /// The aggregates, with max_temp_c over the temperatures after each
+  /// step and the power averaged over the requested duration; the
+  /// series stay empty.
   BoostTrace Finish(std::span<const double> die_temps);
 
  private:
   double TotalPower(std::span<const double> die_temps);  // into powers_
   void Decide(double peak, std::span<const double> die_temps);
   void MoveTo(std::size_t d, std::size_t level);
-  void RecordStepEnd(double peak);  // period s_ - 1 ended at `peak`
 
   const BoostingSimulator* sim_;
   BoostLaw law_;
   double period_s_;
   std::size_t steps_;
-  std::size_t stride_;  // trace sample stride
-  std::size_t s_ = 0;   // periods controlled so far
+  std::size_t s_ = 0;  // periods controlled so far
   double time_s_ = 0.0;
+  double gips_ = 0.0;
+  double power_w_ = 0.0;
   std::vector<std::size_t> domain_of_instance_;
   std::vector<std::size_t> domain_of_core_;  // kDark for dark cores
   std::vector<std::size_t> levels_;          // per domain

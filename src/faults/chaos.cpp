@@ -9,20 +9,6 @@
 
 namespace ds::faults {
 
-namespace {
-
-/// SplitMix64 finalizer -- the same mixing the sweep spec uses for
-/// per-job seeds, applied twice to fold (job, attempt) into the chaos
-/// seed without correlation between neighbouring jobs or attempts.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 void CancelToken::Cancel() {
   {
     const MutexLock lock(mu_);
@@ -77,8 +63,11 @@ ChaosDecision ChaosInjector::Decide(std::size_t job,
                                     std::size_t attempt) const {
   ChaosDecision d;
   if (!config_.enabled || attempt >= config_.max_faulty_attempts) return d;
-  util::Rng rng(Mix(Mix(config_.seed ^ static_cast<std::uint64_t>(job)) ^
-                    static_cast<std::uint64_t>(attempt)));
+  // SplitMix64 twice folds (job, attempt) into the chaos seed without
+  // correlation between neighbouring jobs or attempts.
+  util::Rng rng(util::SplitMix64(
+      util::SplitMix64(config_.seed ^ static_cast<std::uint64_t>(job)) ^
+      static_cast<std::uint64_t>(attempt)));
   // Fixed sampling order (delay first) so a decision never depends on
   // which classes are enabled elsewhere.
   const double delay_draw = rng.Uniform(0.0, 1.0);

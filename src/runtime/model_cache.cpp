@@ -8,6 +8,7 @@
 #include "telemetry/event_bus.hpp"
 #include "telemetry/scoped.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace ds::runtime {
 
@@ -42,20 +43,12 @@ std::vector<double> ContentKey(const thermal::Floorplan& fp,
   };
 }
 
-/// SplitMix64 finalizer (same mixer the sweep engine uses for jitter).
-std::uint64_t MixBits(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t KeyHash(const std::vector<double>& key) {
   std::uint64_t h = 0x8f3a9c1d2e5b7a40ull ^ key.size();
   for (const double v : key) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof(bits));
-    h = MixBits(h ^ bits);
+    h = util::SplitMix64(h ^ bits);
   }
   // Zero means "no hash" in the event schema; keep real hashes nonzero.
   return h == 0 ? 1 : h;

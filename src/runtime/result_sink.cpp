@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "runtime/scenarios.hpp"
 #include "telemetry/json.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
@@ -13,12 +14,6 @@ namespace {
 
 using telemetry::JsonEscape;
 using telemetry::JsonNumber;
-
-const char* StatusOf(const JobResult& r) {
-  if (r.quarantined) return "quarantined";
-  if (!r.ok) return "failed";
-  return r.skipped ? "skipped" : "ok";
-}
 
 /// Flushes `os` and raises SinkWriteError if the stream has gone bad.
 void CheckStream(std::ostream& os, std::size_t rows_written,
@@ -33,6 +28,12 @@ void CheckStream(std::ostream& os, std::size_t rows_written,
 
 }  // namespace
 
+const char* StatusOf(const JobResult& result) {
+  if (result.quarantined) return "quarantined";
+  if (!result.ok) return "failed";
+  return result.skipped ? "skipped" : "ok";
+}
+
 double Metric(const JobResult& result, std::string_view name) {
   for (const auto& [key, value] : result.metrics)
     if (key == name) return value;
@@ -42,7 +43,13 @@ double Metric(const JobResult& result, std::string_view name) {
 
 ResultSink::ResultSink(const SweepSpec& spec,
                        const std::vector<SweepJob>& jobs)
-    : param_columns_(spec.ParamColumns()) {
+    : header_("job,status"),
+      metric_columns_(MetricColumns(spec.kind()).size()) {
+  for (const std::string& column : spec.ParamColumns())
+    header_ += "," + column;
+  for (const std::string& column : MetricColumns(spec.kind()))
+    header_ += "," + column;
+  header_ += "\n";
   jobs_.reserve(jobs.size());
   for (const SweepJob& job : jobs) {
     DS_REQUIRE(job.index == jobs_.size(),
@@ -51,44 +58,7 @@ ResultSink::ResultSink(const SweepSpec& spec,
   }
 }
 
-std::vector<std::string> ResultSink::Header(
-    const std::vector<JobResult>& results) const {
-  std::vector<std::string> header{"job", "status"};
-  header.insert(header.end(), param_columns_.begin(), param_columns_.end());
-  for (const JobResult& r : results) {
-    if (!r.ok || r.skipped) continue;
-    for (const auto& [key, value] : r.metrics) {
-      (void)value;
-      header.push_back(key);
-    }
-    break;
-  }
-  return header;
-}
-
-std::string ResultSink::CsvHeaderLine(const JobResult* first_ok) const {
-  std::string line = "job,status";
-  for (const std::string& col : param_columns_) {
-    line += ",";
-    line += col;
-  }
-  if (first_ok != nullptr) {
-    for (const auto& [key, value] : first_ok->metrics) {
-      (void)value;
-      line += ",";
-      line += key;
-    }
-  }
-  line += "\n";
-  return line;
-}
-
-std::size_t ResultSink::MetricColumns(const JobResult* first_ok) {
-  return first_ok != nullptr ? first_ok->metrics.size() : 0;
-}
-
-std::string ResultSink::CsvRowLine(const JobResult& r,
-                                   std::size_t metric_cols) const {
+std::string ResultSink::CsvRowLine(const JobResult& r) const {
   DS_REQUIRE(r.index < jobs_.size(),
              "ResultSink: row " << r.index << " of " << jobs_.size()
                                 << " jobs");
@@ -101,16 +71,17 @@ std::string ResultSink::CsvRowLine(const JobResult& r,
     line += value;
   }
   if (r.ok && !r.skipped) {
-    DS_REQUIRE(r.metrics.size() == metric_cols,
+    DS_REQUIRE(r.metrics.size() == metric_columns_,
                "ResultSink: job " << r.index << " has " << r.metrics.size()
-                                  << " metrics, header has " << metric_cols);
+                                  << " metrics, header has "
+                                  << metric_columns_);
     for (const auto& [key, value] : r.metrics) {
       (void)key;
       line += ",";
       line += JsonNumber(value);
     }
   } else {
-    line.append(metric_cols, ',');
+    line.append(metric_columns_, ',');
   }
   line += "\n";
   return line;
@@ -121,19 +92,12 @@ void ResultSink::WriteCsv(std::ostream& os,
   DS_REQUIRE(results.size() == jobs_.size(),
              "ResultSink: " << results.size() << " results for "
                             << jobs_.size() << " jobs");
-  const JobResult* first_ok = nullptr;
-  for (const JobResult& r : results) {
-    if (!r.ok || r.skipped) continue;
-    first_ok = &r;
-    break;
-  }
-  os << CsvHeaderLine(first_ok);
-  const std::size_t metric_cols = MetricColumns(first_ok);
+  os << header_;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
     DS_REQUIRE(r.index == i, "ResultSink: result " << r.index << " at row "
                                                    << i);
-    os << CsvRowLine(r, metric_cols);
+    os << CsvRowLine(r);
     if ((i + 1) % kFlushEveryRows == 0) CheckStream(os, i + 1, "CSV");
   }
   CheckStream(os, results.size(), "CSV");

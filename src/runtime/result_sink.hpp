@@ -17,6 +17,12 @@
 // deterministic -- "quarantined" means the job exhausted its retry
 // budget, which under deterministic chaos is a pure function of the
 // job too.
+//
+// Schema contract: the spec alone fixes the CSV columns -- job, status,
+// the spec's parameter columns, then the kind's MetricColumns
+// (runtime/scenarios.hpp). Every sweep of one kind carries the same
+// metric columns, whether or not any of its rows is ok; rows that are
+// not ok leave those cells empty.
 #pragma once
 
 #include <cstddef>
@@ -30,12 +36,12 @@
 
 namespace ds::runtime {
 
-/// Outcome of one job. `metrics` carries the kind's full metric set in
-/// a fixed order; `skipped` marks an infeasible scenario (still a row);
-/// `ok == false` records a failed job (exception text in `error`).
-/// `quarantined` marks a job retired after exhausting its retry budget
-/// on transient failures; `timed_out` marks that at least one attempt
-/// hit the watchdog deadline.
+/// Outcome of one job. `metrics` carries the kind's MetricColumns, by
+/// name, in that order; `skipped` marks an infeasible scenario (still a
+/// row); `ok == false` records a failed job (exception text in
+/// `error`). `quarantined` marks a job retired after exhausting its
+/// retry budget on transient failures; `timed_out` marks that at least
+/// one attempt hit the watchdog deadline.
 struct JobResult {
   std::size_t index = 0;
   bool ok = false;
@@ -67,17 +73,17 @@ class SinkWriteError : public std::runtime_error {
 /// runner bug, not a data condition).
 double Metric(const JobResult& result, std::string_view name);
 
+/// The row status: "quarantined", "failed", "skipped" or "ok". CSV and
+/// JSON rows, the engine's `completed` event and the service's `job`
+/// event all name a result by it.
+const char* StatusOf(const JobResult& result);
+
 class ResultSink {
  public:
-  /// Captures the spec's parameter columns and, from `jobs`, the echo
-  /// values for every row.
+  /// Builds the header from the spec's parameter columns and its
+  /// kind's metric columns, and captures from `jobs` the echo values
+  /// for every row.
   ResultSink(const SweepSpec& spec, const std::vector<SweepJob>& jobs);
-
-  /// Header: job, status, <param columns...>, <metric columns...>.
-  /// Metric columns come from the first completed row (every runner
-  /// emits the same set for one kind).
-  std::vector<std::string> Header(
-      const std::vector<JobResult>& results) const;
 
   /// One CSV line per job, index order, "%.17g"-exact numbers. The
   /// stream is flushed and checked every batch of rows and at the end;
@@ -100,23 +106,20 @@ class ResultSink {
   // row by row as jobs complete is byte-identical to the batch file by
   // construction.
 
-  /// The CSV header line (with trailing newline). `first_ok` is the
-  /// first `ok && !skipped` result in index order, or nullptr when the
-  /// sweep produced none (header then carries no metric columns).
-  std::string CsvHeaderLine(const JobResult* first_ok) const;
+  /// The CSV header line (with trailing newline):
+  /// job,status,<param columns...>,<metric columns...>.
+  const std::string& CsvHeaderLine() const { return header_; }
 
-  /// One CSV data row (with trailing newline) for job `result.index`.
-  std::string CsvRowLine(const JobResult& result,
-                         std::size_t metric_cols) const;
-
-  /// Metric-column count implied by `first_ok` (see CsvHeaderLine).
-  static std::size_t MetricColumns(const JobResult* first_ok);
+  /// One CSV data row (with trailing newline) for job `result.index`:
+  /// the metric values of an ok row, else empty metric cells.
+  std::string CsvRowLine(const JobResult& result) const;
 
   /// Rows between flush-and-check points in WriteCsv/WriteJsonRows.
   static constexpr std::size_t kFlushEveryRows = 64;
 
  private:
-  std::vector<std::string> param_columns_;
+  std::string header_;
+  std::size_t metric_columns_ = 0;
   std::vector<std::vector<std::pair<std::string, std::string>>> jobs_;
 };
 

@@ -1,6 +1,7 @@
 #include "runtime/scenarios.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 
@@ -34,6 +35,20 @@ arch::Platform MakePlatform(const SweepPoint& point, ModelCache& cache) {
   return platform;
 }
 
+/// Fills `result->metrics` with `values`, in MetricColumns(kind) order.
+void SetMetrics(SweepKind kind, std::initializer_list<double> values,
+                JobResult* result) {
+  const std::vector<std::string>& columns = MetricColumns(kind);
+  DS_REQUIRE(values.size() == columns.size(),
+             SweepKindName(kind) << ": " << values.size() << " values for "
+                                 << columns.size() << " metric columns");
+  result->metrics.clear();
+  result->metrics.reserve(columns.size());
+  const double* value = values.begin();
+  for (const std::string& column : columns)
+    result->metrics.emplace_back(column, *value++);
+}
+
 std::size_t LevelFor(const arch::Platform& platform, double freq_ghz) {
   if (freq_ghz <= 0.0) return platform.ladder().NominalLevel();
   return platform.ladder().LevelAtOrBelow(freq_ghz);
@@ -50,17 +65,13 @@ void RunEstimate(const SweepPoint& p, ModelCache& cache, JobResult* result) {
           ? estimator.UnderTemperature(app, p.threads, level, policy)
           : estimator.UnderPowerBudget(app, p.threads, level, p.tdp_w,
                                        policy);
-  result->metrics = {
-      {"level_freq_ghz", platform.ladder()[level].freq},
-      {"active_cores", static_cast<double>(e.active_cores)},
-      {"instances", static_cast<double>(e.instances)},
-      {"dark_frac", e.dark_fraction},
-      {"total_power_w", e.total_power_w},
-      {"budget_power_w", e.budget_power_w},
-      {"peak_temp_c", e.peak_temp_c},
-      {"violation", e.thermal_violation ? 1.0 : 0.0},
-      {"gips", e.total_gips},
-  };
+  SetMetrics(SweepKind::kEstimate,
+             {platform.ladder()[level].freq,
+              static_cast<double>(e.active_cores),
+              static_cast<double>(e.instances), e.dark_fraction,
+              e.total_power_w, e.budget_power_w, e.peak_temp_c,
+              e.thermal_violation ? 1.0 : 0.0, e.total_gips},
+             result);
 }
 
 void RunTspCurve(const SweepPoint& p, ModelCache& cache, JobResult* result) {
@@ -71,10 +82,8 @@ void RunTspCurve(const SweepPoint& p, ModelCache& cache, JobResult* result) {
   const double budget = p.mapping == "spread"
                             ? cache.TspBestCase(platform, p.count)
                             : cache.TspWorstCase(platform, p.count);
-  result->metrics = {
-      {"tsp_w_per_core", budget},
-      {"total_w", budget * static_cast<double>(p.count)},
-  };
+  SetMetrics(SweepKind::kTspCurve,
+             {budget, budget * static_cast<double>(p.count)}, result);
 }
 
 void RunTspPerf(const SweepPoint& p, ModelCache& cache, JobResult* result) {
@@ -102,36 +111,28 @@ void RunTspPerf(const SweepPoint& p, ModelCache& cache, JobResult* result) {
     if (active % p.threads != 0)
       gips += app.InstanceGips(active % p.threads, freq);
   }
-  result->metrics = {
-      {"active", static_cast<double>(active)},
-      {"budget_w_per_core", budget},
-      {"feasible", feasible ? 1.0 : 0.0},
-      {"freq_ghz", freq},
-      {"gips", gips},
-  };
+  SetMetrics(SweepKind::kTspPerf,
+             {static_cast<double>(active), budget, feasible ? 1.0 : 0.0, freq,
+              gips},
+             result);
 }
 
 void RunBoost(const SweepPoint& p, ModelCache& cache, JobResult* result) {
   const arch::Platform platform = MakePlatform(p, cache);
   const apps::AppProfile& app = apps::AppByName(p.app);
   const core::BoostingSimulator sim(platform, app, p.instances, p.threads);
-  std::size_t level = 0;
-  if (!sim.MaxSafeConstantLevel(p.power_cap_w, &level)) {
+  const core::BoostingSimulator::Comparison c =
+      sim.Compare(platform.tdtm_c(), p.power_cap_w);
+  if (!c.feasible) {
     result->skipped = true;
     return;
   }
-  const core::Estimate steady = sim.SteadyAtLevel(level);
-  const core::BoostingSimulator::QuasiSteadyBoost boost =
-      sim.EstimateBoosting(platform.tdtm_c(), p.power_cap_w);
-  result->metrics = {
-      {"const_freq_ghz", platform.ladder()[level].freq},
-      {"const_gips", sim.GipsAtLevel(level)},
-      {"const_power_w", steady.total_power_w},
-      {"boost_gips", boost.avg_gips},
-      {"boost_avg_power_w", boost.avg_power_w},
-      {"boost_peak_power_w", boost.peak_power_w},
-      {"boost_base_freq_ghz", platform.ladder()[boost.base_level].freq},
-  };
+  SetMetrics(SweepKind::kBoost,
+             {platform.ladder()[c.level].freq, sim.GipsAtLevel(c.level),
+              c.steady.total_power_w, c.boost.avg_gips, c.boost.avg_power_w,
+              c.boost.peak_power_w,
+              platform.ladder()[c.boost.base_level].freq},
+             result);
 }
 
 /// One boost_transient member. The platform and simulator live on the
@@ -154,29 +155,22 @@ void FinishRow(BtMember& m, const thermal::BatchStepPropagator& batch,
                double simulated_s) {
   const core::BoostTrace t = m.loop->Finish(
       batch.MemberState(m.handle).first(batch.num_cores()));
-  m.result->metrics = {
-      {"avg_gips", t.avg_gips},
-      {"avg_power_w", t.energy_j / simulated_s},
-      {"energy_j", t.energy_j},
-      {"max_power_w", t.max_power_w},
-      {"max_temp_c", std::max(m.loop->warm_peak_c(), t.max_temp_c)},
-      {"final_peak_c", batch.PeakDieTemp(m.handle)},
-      {"final_freq_ghz", m.platform->ladder()[m.loop->level()].freq},
-  };
+  SetMetrics(SweepKind::kBoostTransient,
+             {t.avg_gips, t.energy_j / simulated_s, t.energy_j,
+              t.max_power_w, std::max(m.loop->warm_peak_c(), t.max_temp_c),
+              batch.PeakDieTemp(m.handle),
+              m.platform->ladder()[m.loop->level()].freq},
+             m.result);
   m.result->ok = true;
 }
 
 void RunCharacterize(const SweepPoint& p, JobResult* result) {
   const uarch::Characterization c =
       uarch::Characterize(uarch::TraceParamsByName(p.app));
-  result->metrics = {
-      {"ipc", c.ipc},
-      {"ceff22_nf", c.ceff22_nf},
-      {"pind22_w", c.pind22_w},
-      {"l1_miss_rate", c.sim.l1_miss_rate},
-      {"mpki_l2", c.sim.mpki_l2},
-      {"branch_mispredict_rate", c.sim.branch_mispredict_rate},
-  };
+  SetMetrics(SweepKind::kCharacterize,
+             {c.ipc, c.ceff22_nf, c.pind22_w, c.sim.l1_miss_rate,
+              c.sim.mpki_l2, c.sim.branch_mispredict_rate},
+             result);
 }
 
 void RunSpeedup(const SweepPoint& p, JobResult* result) {
@@ -185,16 +179,12 @@ void RunSpeedup(const SweepPoint& p, JobResult* result) {
   for (const std::size_t n : {2UL, 4UL, 8UL, 16UL, 64UL})
     curve.push_back(uarch::SimulateSpeedup(params, n));
   const uarch::SpeedupResult& at8 = curve[2];
-  result->metrics = {
-      {"s2", curve[0].speedup},
-      {"s4", curve[1].speedup},
-      {"s8", curve[2].speedup},
-      {"s16", curve[3].speedup},
-      {"s64", curve[4].speedup},
-      {"serial_frac_fit", uarch::FitSerialFraction(curve)},
-      {"lock_wait_frac", at8.lock_wait_fraction},
-      {"barrier_wait_frac", at8.barrier_wait_fraction},
-  };
+  SetMetrics(SweepKind::kSpeedup,
+             {curve[0].speedup, curve[1].speedup, curve[2].speedup,
+              curve[3].speedup, curve[4].speedup,
+              uarch::FitSerialFraction(curve), at8.lock_wait_fraction,
+              at8.barrier_wait_fraction},
+             result);
 }
 
 }  // namespace
@@ -352,32 +342,36 @@ std::string BatchCohortKey(SweepKind kind, const SweepPoint& point) {
   return key;
 }
 
-std::vector<std::string> MetricColumns(SweepKind kind) {
+const std::vector<std::string>& MetricColumns(SweepKind kind) {
+  static const std::vector<std::string> kEstimate{
+      "level_freq_ghz", "active_cores",   "instances",
+      "dark_frac",      "total_power_w",  "budget_power_w",
+      "peak_temp_c",    "violation",      "gips"};
+  static const std::vector<std::string> kTspCurve{"tsp_w_per_core",
+                                                  "total_w"};
+  static const std::vector<std::string> kTspPerf{
+      "active", "budget_w_per_core", "feasible", "freq_ghz", "gips"};
+  static const std::vector<std::string> kBoost{
+      "const_freq_ghz",    "const_gips",         "const_power_w",
+      "boost_gips",        "boost_avg_power_w",  "boost_peak_power_w",
+      "boost_base_freq_ghz"};
+  static const std::vector<std::string> kCharacterize{
+      "ipc",     "ceff22_nf", "pind22_w", "l1_miss_rate",
+      "mpki_l2", "branch_mispredict_rate"};
+  static const std::vector<std::string> kSpeedup{
+      "s2",  "s4",  "s8",  "s16", "s64", "serial_frac_fit",
+      "lock_wait_frac", "barrier_wait_frac"};
+  static const std::vector<std::string> kBoostTransient{
+      "avg_gips",    "avg_power_w",  "energy_j",      "max_power_w",
+      "max_temp_c",  "final_peak_c", "final_freq_ghz"};
   switch (kind) {
-    case SweepKind::kEstimate:
-      return {"level_freq_ghz", "active_cores", "instances",
-              "dark_frac",      "total_power_w", "budget_power_w",
-              "peak_temp_c",    "violation",     "gips"};
-    case SweepKind::kTspCurve:
-      return {"tsp_w_per_core", "total_w"};
-    case SweepKind::kTspPerf:
-      return {"active", "budget_w_per_core", "feasible", "freq_ghz", "gips"};
-    case SweepKind::kBoost:
-      return {"const_freq_ghz",    "const_gips",
-              "const_power_w",     "boost_gips",
-              "boost_avg_power_w", "boost_peak_power_w",
-              "boost_base_freq_ghz"};
-    case SweepKind::kCharacterize:
-      return {"ipc",         "ceff22_nf", "pind22_w",
-              "l1_miss_rate", "mpki_l2",  "branch_mispredict_rate"};
-    case SweepKind::kSpeedup:
-      return {"s2",  "s4",  "s8",
-              "s16", "s64", "serial_frac_fit",
-              "lock_wait_frac", "barrier_wait_frac"};
-    case SweepKind::kBoostTransient:
-      return {"avg_gips",    "avg_power_w", "energy_j",
-              "max_power_w", "max_temp_c",  "final_peak_c",
-              "final_freq_ghz"};
+    case SweepKind::kEstimate: return kEstimate;
+    case SweepKind::kTspCurve: return kTspCurve;
+    case SweepKind::kTspPerf: return kTspPerf;
+    case SweepKind::kBoost: return kBoost;
+    case SweepKind::kCharacterize: return kCharacterize;
+    case SweepKind::kSpeedup: return kSpeedup;
+    case SweepKind::kBoostTransient: return kBoostTransient;
   }
   DS_REQUIRE(false, "MetricColumns: invalid kind");
 }

@@ -4,6 +4,10 @@
 // cached artifacts are bitwise-identical to uncached computation), so
 // job results do not depend on scheduling -- the engine's determinism
 // guarantee rests on this file.
+//
+// MetricColumns is each kind's row schema: the one place its metric
+// column names are written. Runners hand it values in column order, and
+// ResultSink writes the same names into every CSV header of the kind.
 #pragma once
 
 #include <functional>
@@ -18,15 +22,17 @@
 
 namespace ds::runtime {
 
-/// Executes one job. Fills `result->metrics` (and `skipped` for
-/// infeasible scenarios); throws on invalid scenarios (unknown node or
-/// app, inconsistent parameters), which the engine records as a failed
-/// job. `cache` supplies the shared thermal artifacts.
+/// Executes one job. Fills `result->metrics` with MetricColumns(kind)
+/// (or sets `skipped` for an infeasible scenario, which carries no
+/// metrics); throws on invalid scenarios (unknown node or app,
+/// inconsistent parameters), which the engine records as a failed job.
+/// `cache` supplies the shared thermal artifacts.
 void RunScenario(SweepKind kind, const SweepJob& job, ModelCache& cache,
                  JobResult* result);
 
-/// The metric column names RunScenario emits for `kind`, in order.
-std::vector<std::string> MetricColumns(SweepKind kind);
+/// The schema of `kind`'s rows: the metric column names RunScenario
+/// emits, in order.
+const std::vector<std::string>& MetricColumns(SweepKind kind);
 
 /// True when `kind` steps a thermal model per job and can join a
 /// lockstep cohort (see RunBoostTransientCohort / DESIGN.md §15).

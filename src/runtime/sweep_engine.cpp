@@ -38,15 +38,6 @@ constexpr std::size_t kMaxCohortWidth = 16;
 /// purpose -- nothing but the attempt loop may catch it.
 struct JobTimeout {};
 
-/// SplitMix64 finalizer (same mixing as the sweep spec / chaos seeds)
-/// for deterministic backoff jitter.
-std::uint64_t Mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Per-worker queue of chunk ids. A chunk is one unit of worker work:
 /// a singleton job (scalar lane) or a lockstep cohort. Owner pops LIFO
 /// from the back; thieves take FIFO from the front. Coarse-grained
@@ -232,9 +223,10 @@ void BackoffBeforeRetry(const SharedState& state, std::size_t index,
   if (state.backoff_ms <= 0.0) return;
   double wait_ms = state.backoff_ms *
                    std::pow(2.0, static_cast<double>(attempt - 1));
-  util::Rng rng(Mix(Mix(static_cast<std::uint64_t>(index) ^
-                        0x626b6f66ULL) ^  // distinct stream from chaos
-                    static_cast<std::uint64_t>(attempt)));
+  util::Rng rng(util::SplitMix64(
+      util::SplitMix64(static_cast<std::uint64_t>(index) ^
+                       0x626b6f66ULL) ^  // distinct stream from chaos
+      static_cast<std::uint64_t>(attempt)));
   wait_ms *= rng.Uniform(0.75, 1.25);
   wait_ms = std::min(wait_ms, 1000.0);
   if (state.events != nullptr) {
@@ -272,10 +264,7 @@ void RetireJob(SharedState& state, JobResult& result,
         telemetry::EventKind::kCompleted,
         static_cast<std::int64_t>(result.index),
         static_cast<std::int32_t>(result.attempts));
-    e.SetDetail(result.quarantined ? "quarantined"
-                : !result.ok       ? "failed"
-                : result.skipped   ? "skipped"
-                                   : "ok");
+    e.SetDetail(StatusOf(result));
     e.AddField("wall_ms", result.wall_ms);
     PublishEvent(state, e);
   }

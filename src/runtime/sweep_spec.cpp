@@ -10,6 +10,7 @@
 #include "core/mapping.hpp"
 #include "telemetry/json.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace ds::runtime {
 
@@ -159,10 +160,7 @@ std::string CanonicalNumber(double v) {
 }
 
 std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t index) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (index + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return util::SplitMix64(seed + 0x9E3779B97F4A7C15ULL * index);
 }
 
 SweepSpec::SweepSpec(std::string name, SweepKind kind)

@@ -129,7 +129,8 @@ class SweepSpec {
 /// ("%.17g" trimmed), used for params echoed into rows/checkpoints.
 std::string CanonicalNumber(double v);
 
-/// SplitMix64 mix used for per-job seeds (exposed for tests).
+/// Job `index`'s seed: util::SplitMix64 of `seed` plus `index`
+/// golden-ratio increments (exposed for tests).
 std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t index);
 
 }  // namespace ds::runtime

@@ -158,40 +158,19 @@ struct SweepService::Sweep {
 
   // Row reordering: completion-order results -> index-order stream.
   std::vector<std::unique_ptr<runtime::JobResult>> slots DS_GUARDED_BY(mu);
-  std::size_t prefix DS_GUARDED_BY(mu) = 0;   // contiguous final results
-  std::size_t emitted DS_GUARDED_BY(mu) = 0;  // rows written to `rows`
-  bool header_written DS_GUARDED_BY(mu) = false;
-  std::size_t metric_cols DS_GUARDED_BY(mu) = 0;
+  std::size_t prefix DS_GUARDED_BY(mu) = 0;  // finished jobs, all streamed
 
   void AppendEventLocked(const std::string& json_line) DS_REQUIRES(mu) {
     events += json_line;
     events += "\n";
   }
 
-  /// Emits every row that has become emittable. The header needs the
-  /// first `ok && !skipped` result *in index order* (the batch
-  /// ResultSink contract), which is only known once the contiguous
-  /// prefix reaches an ok row -- or the very end for all-failed
-  /// sweeps -- so rows ahead of that point are held back.
+  /// Appends every row the contiguous prefix of finished jobs has
+  /// reached, in index order (the header went out when the sweep
+  /// started running).
   void AdvanceRowsLocked() DS_REQUIRES(mu) {
-    while (prefix < slots.size() && slots[prefix] != nullptr) ++prefix;
-    if (!header_written) {
-      const runtime::JobResult* first_ok = nullptr;
-      for (std::size_t i = 0; i < prefix; ++i) {
-        if (slots[i]->ok && !slots[i]->skipped) {
-          first_ok = slots[i].get();
-          break;
-        }
-      }
-      if (first_ok == nullptr && prefix < slots.size()) return;
-      rows += sink.CsvHeaderLine(first_ok);
-      metric_cols = runtime::ResultSink::MetricColumns(first_ok);
-      header_written = true;
-    }
-    while (emitted < prefix) {
-      rows += sink.CsvRowLine(*slots[emitted], metric_cols);
-      ++emitted;
-    }
+    while (prefix < slots.size() && slots[prefix] != nullptr)
+      rows += sink.CsvRowLine(*slots[prefix++]);
   }
 };
 
@@ -465,6 +444,7 @@ void SweepService::RunSweep(const std::shared_ptr<Sweep>& sweep) {
     if (IsTerminal(sweep->state)) return;  // cancelled while queued
     sweep->state = SweepState::kRunning;
     sweep->queue_wait_ms = queue_wait_ms;
+    sweep->rows += sweep->sink.CsvHeaderLine();
     sweep->AppendEventLocked(
         "{\"ev\": \"started\", \"ts_us\": " + std::to_string(NowUnixUs()) +
         ", \"sweep\": \"" + JsonEscape(sweep->id) +
@@ -488,7 +468,8 @@ void SweepService::RunSweep(const std::shared_ptr<Sweep>& sweep) {
   }
   // The service owns the shared weak spot of multi-tenant streaming:
   // workers finish jobs in any order, this callback re-serializes them
-  // into the byte-exact CSV stream under the sweep's own lock.
+  // into the byte-exact CSV stream under the sweep's own lock, behind
+  // the header RunSweep wrote above.
   eo.on_result = [sweep](const runtime::JobResult& result) {
     const ds::MutexLock lock(sweep->mu);
     if (result.index >= sweep->slots.size()) return;
@@ -500,11 +481,7 @@ void SweepService::RunSweep(const std::shared_ptr<Sweep>& sweep) {
         "{\"ev\": \"job\", \"ts_us\": " + std::to_string(NowUnixUs()) +
         ", \"sweep\": \"" + JsonEscape(sweep->id) +
         "\", \"job\": " + std::to_string(result.index) +
-        ", \"status\": \"" +
-        (result.quarantined ? "quarantined"
-         : !result.ok       ? "failed"
-         : result.skipped   ? "skipped"
-                            : "ok") +
+        ", \"status\": \"" + runtime::StatusOf(result) +
         "\", \"attempts\": " + std::to_string(result.attempts) + "}");
     sweep->AdvanceRowsLocked();
     sweep->cv.NotifyAll();
@@ -530,8 +507,6 @@ void SweepService::RunSweep(const std::shared_ptr<Sweep>& sweep) {
     const ds::MutexLock lock(sweep->mu);
     sweep->run_ms = run_ms;
     sweep->error = error;
-    if (final_state == SweepState::kDone)
-      sweep->AdvanceRowsLocked();  // all-failed sweeps flush here
     sweep->state = final_state;
     jobs_done = sweep->jobs_done;
     sweep->AppendEventLocked(

@@ -23,10 +23,12 @@
 // disk, the rest execute); terminal sweeps are listed but their row
 // streams are gone (410).
 //
-// Streaming: rows are emitted in job-index order as jobs complete,
-// formatted by the same ResultSink code path as `darksilicon sweep`,
-// so the streamed CSV is byte-identical to the batch file. Readers
-// block on a per-sweep condvar; Stop() terminalizes every stream.
+// Streaming: the spec fixes the CSV header, so it goes out when the
+// sweep starts running; each row follows as soon as every job before
+// it has finished, in job-index order, formatted by the same
+// ResultSink code path as `darksilicon sweep`, so the streamed CSV is
+// byte-identical to the batch file. Readers block on a per-sweep
+// condvar; Stop() terminalizes every stream.
 #pragma once
 
 #include <cstddef>

@@ -10,6 +10,16 @@
 
 namespace ds::util {
 
+/// SplitMix64 (Steele, Lea and Flood): one golden-ratio increment and
+/// the finalizer. The one mixer behind per-job sweep seeds, chaos and
+/// backoff draws and model content hashes.
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}

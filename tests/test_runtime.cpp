@@ -16,6 +16,7 @@
 
 #include "arch/platform.hpp"
 #include "core/tsp.hpp"
+#include "faults/chaos.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/model_cache.hpp"
 #include "runtime/result_sink.hpp"
@@ -113,6 +114,51 @@ TEST(SweepSpecTest, SeedsAreStableAndPerJobDistinct) {
     for (std::size_t j = i + 1; j < a.size(); ++j)
       EXPECT_NE(a[i].rng_seed, a[j].rng_seed);
   }
+}
+
+// The three seed mixers share one SplitMix64 finalizer; these pins hold
+// the per-job seeds, the model hash on cache events and the chaos
+// schedule to their values, so a change to the mixer cannot move them.
+TEST(SeedMixingPin, MixSeedValues) {
+  EXPECT_EQ(MixSeed(1, 0), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(MixSeed(1, 1), 0xbeeb8da1658eec67ULL);
+  EXPECT_EQ(MixSeed(1, 2), 0xf893a2eefb32555eULL);
+  EXPECT_EQ(MixSeed(1, 3), 0x71c18690ee42c90bULL);
+}
+
+TEST(SeedMixingPin, ModelContentHashOf16nmPaperFloorplan) {
+  const arch::Platform plat =
+      arch::Platform::PaperPlatform(power::TechNode::N16);
+  EXPECT_EQ(ModelContentHash(plat.thermal_model().floorplan(),
+                             plat.thermal_model().package()),
+            0x863f3e913e04777eULL);
+}
+
+TEST(SeedMixingPin, ChaosDecisions) {
+  faults::ChaosConfig config;
+  config.enabled = true;
+  config.seed = 1234;
+  config.fail_rate = 0.3;
+  config.delay_rate = 0.2;
+  config.delay_ms = 5.0;
+  const faults::ChaosInjector chaos(config);
+  // One digit per job: 1 = fail, 2 = delay, 3 = both.
+  std::vector<std::string> by_attempt(3);
+  for (std::size_t attempt = 0; attempt < 3; ++attempt)
+    for (std::size_t job = 0; job < 64; ++job) {
+      const faults::ChaosDecision d = chaos.Decide(job, attempt);
+      by_attempt[attempt] += static_cast<char>('0' + (d.fail ? 1 : 0) +
+                                               (d.delay ? 2 : 0));
+    }
+  EXPECT_EQ(by_attempt[0],
+            "00101000000021100323000001021000"
+            "00000101310001320000300302001000");
+  EXPECT_EQ(by_attempt[1],
+            "00003102222011110130000020113300"
+            "21131011101130002132000113011001");
+  EXPECT_EQ(by_attempt[2],
+            "10003210302112003021000002201100"
+            "00232110000001202100020102003103");
 }
 
 TEST(SweepSpecTest, FingerprintTracksContent) {
@@ -669,19 +715,50 @@ TEST(ResultSinkTest, SurfacesStreamFailureWithRowCount) {
   }
 }
 
+// MetricColumns is each kind's schema: one ok job of every kind fills
+// exactly its columns, by name, in order.
 TEST(ScenariosTest, MetricColumnsMatchRunnerOutput) {
   ModelCache cache;
-  SweepSpec spec("cols", SweepKind::kTspCurve);
-  spec.Set("node", "16nm").Set("cores", 16.0);
-  spec.Axis("count", std::vector<double>{4});
-  const std::vector<SweepJob> jobs = spec.Jobs();
-  JobResult result;
-  RunScenario(spec.kind(), jobs[0], cache, &result);
-  ASSERT_TRUE(result.ok);
-  const std::vector<std::string> cols = MetricColumns(spec.kind());
-  ASSERT_EQ(cols.size(), result.metrics.size());
-  for (std::size_t i = 0; i < cols.size(); ++i)
-    EXPECT_EQ(cols[i], result.metrics[i].first);
+  for (const SweepKind kind :
+       {SweepKind::kEstimate, SweepKind::kTspCurve, SweepKind::kTspPerf,
+        SweepKind::kBoost, SweepKind::kCharacterize, SweepKind::kSpeedup,
+        SweepKind::kBoostTransient}) {
+    SCOPED_TRACE(SweepKindName(kind));
+    const SweepSpec spec = SweepSpec::FromJsonText(
+        std::string(R"({"kind": ")") + SweepKindName(kind) +
+        R"(", "points": [{"node": "16nm", "cores": 16, "count": 4,
+                          "duration_s": 0.01}]})");
+    JobResult result;
+    RunScenario(kind, spec.Jobs()[0], cache, &result);
+    ASSERT_TRUE(result.ok && !result.skipped);
+    const std::vector<std::string>& cols = MetricColumns(kind);
+    ASSERT_EQ(cols.size(), result.metrics.size());
+    for (std::size_t i = 0; i < cols.size(); ++i)
+      EXPECT_EQ(cols[i], result.metrics[i].first);
+  }
+}
+
+// The spec alone fixes the header: a sweep none of whose rows is ok
+// still carries its kind's metric columns, with empty cells.
+TEST(ResultSinkTest, SweepWithNoOkRowCarriesItsKindsColumns) {
+  const SweepSpec spec = SweepSpec::FromJsonText(R"({"kind": "boost",
+      "base": {"node": "16nm", "power_cap_w": 1},
+      "axes": {"app": ["x264", "ferret"], "instances": [1, 2]}})");
+  ModelCache cache;
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.cache = &cache;
+  const SweepOutcome out = SweepEngine(spec, opts).Run();
+  std::ostringstream csv;
+  ResultSink(spec, spec.Jobs()).WriteCsv(csv, out.results);
+  EXPECT_EQ(csv.str(),
+            "job,status,app,instances,const_freq_ghz,const_gips,"
+            "const_power_w,boost_gips,boost_avg_power_w,"
+            "boost_peak_power_w,boost_base_freq_ghz\n"
+            "0,skipped,x264,1,,,,,,,\n"
+            "1,skipped,x264,2,,,,,,,\n"
+            "2,skipped,ferret,1,,,,,,,\n"
+            "3,skipped,ferret,2,,,,,,,\n");
 }
 
 }  // namespace

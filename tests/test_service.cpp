@@ -176,6 +176,25 @@ TEST(SweepServiceTest, StreamedRowsAreByteIdenticalToBatchCsv) {
   service.Stop();
 }
 
+// The header goes out when the sweep starts, so six skipped leading
+// rows stream as they finish, and the stream still equals the batch
+// file byte for byte.
+TEST(SweepServiceTest, SkippedLeadingRowsStreamByteIdentical) {
+  std::ifstream in(std::string(DS_EXAMPLES_DIR) + "/sweep_boost.json");
+  ASSERT_TRUE(in.good());
+  std::ostringstream spec;
+  spec << in.rdbuf();
+  SweepService service(SmallOptions());
+  const SweepService::Admission verdict = service.Submit(spec.str(), "carol");
+  ASSERT_TRUE(verdict.accepted) << verdict.error;
+  const std::string streamed = DrainRows(service, verdict.id);
+  EXPECT_EQ(streamed, BatchCsv(spec.str()));
+  EXPECT_NE(streamed.find("\n5,skipped,1,canneal,12,,,,,,,\n6,ok,"),
+            std::string::npos);
+  EXPECT_EQ(WaitTerminal(service, verdict.id).state, SweepState::kDone);
+  service.Stop();
+}
+
 TEST(SweepServiceTest, EventStreamRecordsTheLifecycle) {
   SweepService service(SmallOptions());
   const SweepService::Admission verdict =

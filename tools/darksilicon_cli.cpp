@@ -260,20 +260,20 @@ int CmdBoost(const util::ArgParser& args) {
       static_cast<std::size_t>(args.GetInt("instances", 8));
   const double cap = args.GetDouble("cap", 500.0);
   const core::BoostingSimulator sim(plat, app, instances, 8);
-  std::size_t level = 0;
-  if (!sim.MaxSafeConstantLevel(cap, &level)) {
+  const core::BoostingSimulator::Comparison c =
+      sim.Compare(plat.tdtm_c(), cap);
+  if (!c.feasible) {
     std::cerr << "no thermally safe constant level\n";
     return 1;
   }
-  const auto qs = sim.EstimateBoosting(plat.tdtm_c(), cap);
+  const auto& qs = c.boost;
   util::Table t({"scheme", "f [GHz]", "GIPS", "avg P [W]", "peak P [W]"});
-  const core::Estimate steady = sim.SteadyAtLevel(level);
   t.Row()
       .Cell("constant")
-      .Cell(plat.ladder()[level].freq, 1)
-      .Cell(sim.GipsAtLevel(level), 1)
-      .Cell(steady.total_power_w, 0)
-      .Cell(steady.total_power_w, 0);
+      .Cell(plat.ladder()[c.level].freq, 1)
+      .Cell(sim.GipsAtLevel(c.level), 1)
+      .Cell(c.steady.total_power_w, 0)
+      .Cell(c.steady.total_power_w, 0);
   t.Row()
       .Cell("boosting")
       .Cell(plat.ladder()[qs.base_level].freq, 1)
